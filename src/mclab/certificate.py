@@ -20,6 +20,12 @@ can be built either through its Neumann series
 Y = (1/p) P_Omega( sum_k (-1)^k (P_T Q_Omega P_T)^k E ) or by conjugate
 gradients on T.  Among all Omega-supported Z with P_T P_Omega(Z) = E this
 Y has the smallest Frobenius norm, and ||Y||_F^2 = r + ||P_Tperp Y||_F^2.
+
+The exact deviation statistic and injectivity floor come from the tangent
+Gram matrix: in the orthonormal coordinates of ``TangentSpace.features``,
+G = sum over Omega of phi phi^T is P_T P_Omega P_T on T, so one symmetric
+eigendecomposition of this (2nr - r^2)-square matrix gives
+a = max |lam / p - 1| and lam_min = min lam.
 """
 
 from __future__ import annotations
@@ -33,7 +39,6 @@ from .errors import (
     DivergenceError,
     InjectivityError,
     InvalidParameterError,
-    NumericFailureError,
 )
 from .geometry import TangentSpace, incoherence
 from .linalg import Rng, spectral_norm
@@ -58,107 +63,22 @@ def _check_pair(T: TangentSpace, S: SampleSet):
         raise InvalidParameterError("sample set is empty")
 
 
-def _sym_op_norm(apply_fn, n: int, rng: Rng, tol: float, max_iter: int,
-                 restarts: int = 3) -> float:
-    """Operator norm of a symmetric operator on n x n matrices.
-
-    Power iteration; the estimate ||B X_t||_F converges to the top
-    magnitude eigenvalue even when +-lambda pairs make the Rayleigh
-    quotient oscillate.
-    """
-    if max_iter < 1:
-        raise InvalidParameterError("max_iter must be >= 1")
-    best = 0.0
-    converged_any = False
-    for s in range(restarts):
-        gen = rng.substream(0xD0000 + s).gen
-        X = gen.standard_normal((n, n))
-        X /= np.linalg.norm(X)
-        prev = -1.0
-        est = 0.0
-        converged = False
-        for _ in range(max_iter):
-            Y = apply_fn(X)
-            est = float(np.linalg.norm(Y))
-            if est == 0.0:
-                converged = True
-                break
-            X = Y / est
-            if prev >= 0.0 and abs(est - prev) <= tol * max(est, 1e-300):
-                converged = True
-                break
-            prev = est
-        best = max(best, est)
-        converged_any = converged_any or converged
-    if not converged_any:
-        raise NumericFailureError(
-            "operator power iteration did not converge", estimate=best
-        )
-    return best
+def _spectrum_edges(T: TangentSpace, S: SampleSet) -> tuple[float, float]:
+    """(a, lam_min) from one eigendecomposition of the tangent Gram matrix."""
+    phi = T.features(S.rows, S.cols)
+    lam = np.linalg.eigvalsh(phi.T @ phi)
+    return float(np.max(np.abs(lam / S.p - 1.0))), float(lam[0])
 
 
-def deviation_stat(T: TangentSpace, S: SampleSet, rng: Rng | None = None,
-                   tol: float = 1e-6, max_iter: int = 600) -> float:
-    """The deviation a = ||P_T Q_Omega P_T||.
+def deviation_stat(T: TangentSpace, S: SampleSet) -> float:
+    """The deviation a = ||P_T Q_Omega P_T||, computed exactly.
 
     a < 1 certifies that the sampling operator is injective on T with
     spectrum of (1/p) P_T P_Omega P_T inside [1 - a, 1 + a]; a >= 1 is
     guaranteed whenever |Omega| < dim T.
     """
     _check_pair(T, S)
-    if rng is None:
-        rng = Rng(0)
-
-    def op(X):
-        return T.apply_pt(q_omega(T.apply_pt(X), S))
-
-    return _sym_op_norm(op, T.n, rng, tol=tol, max_iter=max_iter)
-
-
-def _lanczos_smallest(T: TangentSpace, S: SampleSet, rng: Rng,
-                      steps: int = 200) -> float:
-    """Smallest Ritz value of W -> P_T P_Omega (W) on T.
-
-    Full reorthogonalization; the Krylov space is capped at dim T, at which
-    point the estimate is exact up to roundoff.  Ritz values approach the
-    true smallest eigenvalue from above.
-    """
-    n = T.n
-    steps = min(steps, T.dim)
-    gen = rng.gen
-    v = T.apply_pt(gen.standard_normal((n, n)))
-    nv = np.linalg.norm(v)
-    if nv == 0.0:
-        raise NumericFailureError("degenerate Lanczos start")
-    v /= nv
-    basis = [v]
-    alphas = []
-    betas = []
-    for _ in range(steps):
-        w = T.apply_pt(project_omega(basis[-1], S))
-        alpha = float(np.sum(w * basis[-1]))
-        alphas.append(alpha)
-        w = w - alpha * basis[-1]
-        if len(basis) > 1:
-            w = w - betas[-1] * basis[-2]
-        # two rounds of reorthogonalization keep the basis clean
-        for _ in range(2):
-            for b in basis:
-                w = w - float(np.sum(w * b)) * b
-        # roundoff leaks the iterates into the kernel off T, whose zero
-        # eigenvalues would masquerade as the smallest Ritz value
-        w = T.apply_pt(w)
-        beta = float(np.linalg.norm(w))
-        if beta <= 1e-14:
-            break
-        betas.append(beta)
-        basis.append(w / beta)
-    if betas:
-        tri = np.diag(alphas) + np.diag(betas[: len(alphas) - 1], 1) \
-            + np.diag(betas[: len(alphas) - 1], -1)
-        ritz = np.linalg.eigvalsh(tri)
-        return float(ritz[0])
-    return float(alphas[0])
+    return _spectrum_edges(T, S)[0]
 
 
 @dataclass
@@ -184,12 +104,11 @@ class CertificateReport:
     failure: str | None = None
 
 
-def _finish_report(T, S, Y, a, rng, method, term_norms=None, truncated=False,
-                   iters=0) -> CertificateReport:
+def _finish_report(T, S, Y, a, lam_min, method, term_norms=None,
+                   truncated=False, iters=0) -> CertificateReport:
     off = np.max(np.abs(Y - project_omega(Y, S))) if Y.size else 0.0
     resid = float(np.linalg.norm(T.apply_pt(Y) - T.e))
-    ptperp = spectral_norm(T.apply_ptperp(Y), rng=rng.substream(0xA0001))
-    lam_min = _lanczos_smallest(T, S, rng.substream(0xA0002))
+    ptperp = spectral_norm(T.apply_ptperp(Y))
     injective = bool(a < 1.0 and lam_min >= S.p * (1.0 - a) / 2.0)
     return CertificateReport(
         Y=Y, resid_t=resid, supp_ok=bool(off == 0.0), ptperp_norm=float(ptperp),
@@ -199,18 +118,15 @@ def _finish_report(T, S, Y, a, rng, method, term_norms=None, truncated=False,
 
 
 def build_certificate_neumann(T: TangentSpace, S: SampleSet, k_max: int = 100,
-                              tol: float = 1e-12, rng: Rng | None = None,
-                              a_stat: float | None = None) -> CertificateReport:
+                              tol: float = 1e-12) -> CertificateReport:
     """Certificate via the alternating series in powers of P_T Q_Omega P_T.
 
-    Raises DivergenceError when the measured deviation is >= 1.  If k_max
-    terms do not reach the tail tolerance the report is flagged truncated
-    (the series still sums; the residual field shows what was achieved).
+    Raises DivergenceError when the deviation is >= 1.  If k_max terms do
+    not reach the tail tolerance the report is flagged truncated (the
+    series still sums; the residual field shows what was achieved).
     """
     _check_pair(T, S)
-    if rng is None:
-        rng = Rng(0)
-    a = deviation_stat(T, S, rng=rng.substream(0xA0000)) if a_stat is None else a_stat
+    a, lam_min = _spectrum_edges(T, S)
     if a >= 1.0:
         raise DivergenceError(
             "deviation %.4f >= 1: series cannot converge" % a
@@ -230,15 +146,14 @@ def build_certificate_neumann(T: TangentSpace, S: SampleSet, k_max: int = 100,
             break
     Y = project_omega(total, S) / S.p
     return _finish_report(
-        T, S, Y, a, rng, method="neumann(k_max=%d)" % k_max,
+        T, S, Y, a, lam_min, method="neumann(k_max=%d)" % k_max,
         term_norms=np.array(norms), truncated=truncated,
         iters=len(norms) - 1,
     )
 
 
 def build_certificate_cg(T: TangentSpace, S: SampleSet, tol: float = 1e-10,
-                         max_iter: int = 1000, rng: Rng | None = None,
-                         a_stat: float | None = None) -> CertificateReport:
+                         max_iter: int = 1000) -> CertificateReport:
     """Certificate via conjugate gradients on the normal equations in T.
 
     Solves P_T P_Omega (W) = E over W in T and returns Y = P_Omega(W).
@@ -248,9 +163,7 @@ def build_certificate_cg(T: TangentSpace, S: SampleSet, tol: float = 1e-10,
     _check_pair(T, S)
     if max_iter < 1:
         raise InvalidParameterError("max_iter must be >= 1")
-    if rng is None:
-        rng = Rng(0)
-    a = deviation_stat(T, S, rng=rng.substream(0xA0000)) if a_stat is None else a_stat
+    a, lam_min = _spectrum_edges(T, S)
     if a >= 1.0:
         raise InjectivityError(
             "deviation %.4f >= 1: normal operator is singular on T" % a
@@ -285,34 +198,28 @@ def build_certificate_cg(T: TangentSpace, S: SampleSet, tol: float = 1e-10,
         )
     Y = project_omega(W, S)
     return _finish_report(
-        T, S, Y, a, rng, method="cg(tol=%g)" % tol, iters=iters,
+        T, S, Y, a, lam_min, method="cg(tol=%g)" % tol, iters=iters,
     )
 
 
 def try_build_certificate(T: TangentSpace, S: SampleSet, method: str = "neumann",
-                          rng: Rng | None = None, **kw) -> CertificateReport:
+                          **kw) -> CertificateReport:
     """Build a certificate, degrading gracefully on divergence.
 
     When the strict builders refuse (deviation >= 1, singular operator, or
     stalled solve) this returns an uncertifiable report around the zero
     matrix instead of raising, which is what the experiment drivers want.
     """
-    if rng is None:
-        rng = Rng(0)
-    _check_pair(T, S)
-    a = kw.pop("a_stat", None)
-    if a is None:
-        a = deviation_stat(T, S, rng=rng.substream(0xA0000))
     builder = {"neumann": build_certificate_neumann, "cg": build_certificate_cg}
     if method not in builder:
         raise InvalidParameterError("unknown certificate method %r" % method)
     try:
-        return builder[method](T, S, rng=rng, a_stat=a, **kw)
+        return builder[method](T, S, **kw)
     except (DivergenceError, InjectivityError, ConvergenceError) as exc:
         return CertificateReport(
             Y=np.zeros((T.n, T.n)), resid_t=float(np.linalg.norm(T.e)),
-            supp_ok=True, ptperp_norm=0.0, a_stat=float(a), injective=False,
-            lam_min=0.0, method=method, failure=str(exc),
+            supp_ok=True, ptperp_norm=0.0, a_stat=deviation_stat(T, S),
+            injective=False, lam_min=0.0, method=method, failure=str(exc),
         )
 
 
@@ -349,23 +256,20 @@ class ChainNorms:
     qt: np.ndarray
 
 
-def neumann_term_norms(T: TangentSpace, S: SampleSet, k_max: int,
-                       rng: Rng | None = None) -> ChainNorms:
+def neumann_term_norms(T: TangentSpace, S: SampleSet, k_max: int) -> ChainNorms:
     """Spectral norms of the projection and tangent chains up to k_max <= 8."""
     _check_pair(T, S)
     if not (0 <= k_max <= _MAX_CHAIN_LEN):
         raise InvalidParameterError("k_max must lie in [0, %d]" % _MAX_CHAIN_LEN)
-    if rng is None:
-        rng = Rng(0)
     Xp = q_omega(T.e, S)
     Xq = Xp.copy()
-    pt = [spectral_norm(Xp, rng=rng.substream(1))]
+    pt = [spectral_norm(Xp)]
     qt = [pt[0]]
     for k in range(1, k_max + 1):
         Xp = q_omega(T.apply_pt(Xp), S)
         Xq = q_omega(T.apply_qt(Xq), S)
-        pt.append(spectral_norm(Xp, rng=rng.substream(2 * k)))
-        qt.append(spectral_norm(Xq, rng=rng.substream(2 * k + 1)))
+        pt.append(spectral_norm(Xp))
+        qt.append(spectral_norm(Xq))
     return ChainNorms(pt=np.array(pt), qt=np.array(qt))
 
 

@@ -14,14 +14,7 @@ import sys
 
 import numpy as np
 
-from .errors import (
-    ConvergenceError,
-    DivergenceError,
-    GenerationFailureError,
-    InjectivityError,
-    InvalidParameterError,
-    NumericFailureError,
-)
+from .errors import GenerationFailureError, InvalidParameterError, NumericFailureError
 from .experiments import ExperimentConfig, apply_overrides, emit, parse_config, run
 from .linalg import Rng
 from .models import (
@@ -36,8 +29,7 @@ from .models import (
 from .sampling import from_text as sampleset_from_text
 from .solver import SolverParams, complete, recovered
 
-_NUMERIC_ERRORS = (NumericFailureError, DivergenceError, InjectivityError,
-                   ConvergenceError, GenerationFailureError)
+_NUMERIC_ERRORS = (NumericFailureError, GenerationFailureError)
 
 
 def _add_experiment_flags(sub):

@@ -14,10 +14,11 @@ class DegenerateInputError(MclabError, ValueError):
 
 
 class NumericFailureError(MclabError, RuntimeError):
-    """An iterative numeric routine failed to converge.
+    """A numeric construction broke down: a divergent series, a sampling
+    operator that is not injective on the tangent space, or an iteration
+    that stopped short of its tolerance.
 
-    Carries the best estimate produced so far in ``estimate`` so callers
-    can inspect how far the iteration got.
+    ``estimate`` carries the best value produced so far, when there is one.
     """
 
     def __init__(self, message, estimate=None):
@@ -29,11 +30,11 @@ class GenerationFailureError(MclabError, RuntimeError):
     """A rejection sampler exhausted its attempt budget."""
 
 
-class DivergenceError(MclabError, RuntimeError):
+class DivergenceError(NumericFailureError):
     """A series construction cannot converge (contraction factor >= 1)."""
 
 
-class InjectivityError(MclabError, RuntimeError):
+class InjectivityError(NumericFailureError):
     """The sampling operator restricted to the tangent space is not
     positive definite, so the normal equations have no stable solution."""
 

@@ -71,6 +71,25 @@ class TangentSpace:
         """Dimension of T as a linear space: 2nr - r^2."""
         return 2 * self.n * self.r - self.r * self.r
 
+    def features(self, rows, cols) -> np.ndarray:
+        """Coordinates of the entry matrices e_i e_j^T, projected onto T, in
+        an orthonormal basis of T: one row per (i, j) pair, dim columns.
+
+        The basis is u_k e_j^T (column block j * r + k) followed by
+        w_l v_k^T (block n * r + l * r + k), where the w_l complete U to an
+        orthonormal basis of R^n.  For a sample set, phi^T phi is the
+        matrix of P_T P_Omega P_T on T.
+        """
+        rows = np.asarray(rows, dtype=np.int64)
+        cols = np.asarray(cols, dtype=np.int64)
+        n, r, m = self.n, self.r, rows.shape[0]
+        u_perp = np.linalg.qr(self.U, mode="complete")[0][:, r:]
+        phi = np.zeros((m, self.dim))
+        phi[np.arange(m)[:, None], cols[:, None] * r + np.arange(r)] = self.U[rows]
+        phi[:, n * r:] = (u_perp[rows][:, :, None]
+                          * self.V[cols][:, None, :]).reshape(m, -1)
+        return phi
+
     def apply_pt(self, X) -> np.ndarray:
         """Project onto T."""
         X = np.asarray(X, dtype=float)

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateInputError, InvalidParameterError, NumericFailureError
+from .errors import DegenerateInputError, InvalidParameterError
 
 _MASK64 = (1 << 64) - 1
 
@@ -87,59 +87,12 @@ def svd(A) -> SvdFactors:
     return SvdFactors(U=U, S=S, V=V)
 
 
-def spectral_norm(A, tol: float = 1e-9, max_iter: int = 5000, restarts: int = 3,
-                  rng: Rng | None = None) -> float:
-    """Largest singular value by power iteration on ``A.T @ A``.
-
-    Runs ``restarts`` independently seeded iterations and returns the largest
-    converged estimate.  Raises NumericFailureError (carrying the best
-    estimate so far) if no restart converges.
-    """
+def spectral_norm(A) -> float:
+    """Largest singular value, exactly (LAPACK SVD); 0 for an empty matrix."""
     A = _check_finite(A)
-    if rng is None:
-        rng = Rng(0)
     if A.size == 0:
         return 0.0
-
-    best = 0.0
-    converged_any = False
-    for restart in range(restarts):
-        # substream keys >= 0xE0000 are reserved for internal restarts, so a
-        # caller passing Rng(seed, trial) never collides with them
-        gen = rng.substream(0xE0000 + restart).gen
-        v = gen.standard_normal(A.shape[1])
-        nv = np.linalg.norm(v)
-        if nv == 0.0:
-            continue
-        v /= nv
-        sigma_prev = -1.0
-        sigma = 0.0
-        converged = False
-        for _ in range(max_iter):
-            w = A @ v
-            u = A.T @ w
-            # Rayleigh quotient of A.T A at unit v
-            sigma = float(np.sqrt(max(v @ u, 0.0)))
-            nu = np.linalg.norm(u)
-            if nu == 0.0:
-                # v is in the null space; the only way this persists for a
-                # random start is A == 0
-                sigma = 0.0
-                converged = True
-                break
-            v = u / nu
-            if sigma_prev >= 0.0 and abs(sigma - sigma_prev) <= tol * max(sigma, 1e-300):
-                converged = True
-                break
-            sigma_prev = sigma
-        best = max(best, sigma)
-        converged_any = converged_any or converged
-    if not converged_any:
-        raise NumericFailureError(
-            "power iteration did not converge in %d iterations" % max_iter,
-            estimate=best,
-        )
-    return best
+    return float(np.linalg.norm(A, 2))
 
 
 def haar_orthogonal(n: int, rng: Rng) -> np.ndarray:

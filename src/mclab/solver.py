@@ -55,15 +55,22 @@ class SolveResult:
     converged: bool
 
 
+def _threshold(Y, tau: float, rank_cap: int | None):
+    """Soft-threshold the singular values of Y by tau, keeping at most
+    rank_cap of them; returns the result and its singular values."""
+    U, s, Vt = np.linalg.svd(Y, full_matrices=False)
+    s = np.maximum(s - tau, 0.0)
+    if rank_cap is not None and rank_cap < s.shape[0]:
+        s[rank_cap:] = 0.0
+    return (U * s) @ Vt, s
+
+
 def shrink(X, tau: float) -> np.ndarray:
     """Soft-threshold the singular values of X by tau (the proximal map of
     tau * nuclear norm)."""
     if tau < 0:
         raise InvalidParameterError("tau must be >= 0")
-    X = np.asarray(X, dtype=float)
-    U, s, Vt = np.linalg.svd(X, full_matrices=False)
-    s = np.maximum(s - tau, 0.0)
-    return (U * s) @ Vt
+    return _threshold(np.asarray(X, dtype=float), tau, None)[0]
 
 
 def complete(S: SampleSet, observed, params: SolverParams | None = None) -> SolveResult:
@@ -117,11 +124,7 @@ def complete(S: SampleSet, observed, params: SolverParams | None = None) -> Solv
     stall = 0
     halvings = 0
     for iters in range(1, params.max_iter + 1):
-        U, s, Vt = np.linalg.svd(Y, full_matrices=False)
-        s = np.maximum(s - tau, 0.0)
-        if params.rank_cap is not None and params.rank_cap < s.shape[0]:
-            s[params.rank_cap:] = 0.0
-        X = (U * s) @ Vt
+        X, s = _threshold(Y, tau, params.rank_cap)
         nuc = float(np.sum(s))
         resid = project_omega(X, S) - m_obs
         feas = float(np.linalg.norm(resid))

@@ -3,7 +3,15 @@
 import numpy as np
 import pytest
 
+import mclab.cli
 from mclab.cli import main
+from mclab.errors import (
+    ConvergenceError,
+    DivergenceError,
+    GenerationFailureError,
+    InjectivityError,
+    NumericFailureError,
+)
 from mclab.experiments import rows_from_csv
 from mclab.models import gt_from_text
 from mclab.sampling import to_text as sampleset_to_text, sample_bernoulli
@@ -110,6 +118,22 @@ def test_gen_block_model_demands_valid_mu0(tmp_path, capsys):
                "--mu0", "2.0", "--out", str(out)])
     assert rc in (1, 2)
     assert capsys.readouterr().err
+
+
+def test_numeric_failures_share_one_base():
+    for cls in (DivergenceError, InjectivityError, ConvergenceError):
+        assert issubclass(cls, NumericFailureError)
+    assert not issubclass(GenerationFailureError, NumericFailureError)
+
+
+@pytest.mark.parametrize("exc", [DivergenceError("d"), InjectivityError("i"),
+                                 ConvergenceError("c"), GenerationFailureError("g")])
+def test_numeric_failure_exits_2(tmp_path, monkeypatch, capsys, exc):
+    def fail(cfg):
+        raise exc
+    monkeypatch.setattr(mclab.cli, "run", fail)
+    assert main(["cert", "--out", str(tmp_path / "c.csv")]) == 2
+    assert "numeric failure" in capsys.readouterr().err
 
 
 def test_solve_missing_inputs_exit_1(tmp_path):
