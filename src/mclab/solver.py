@@ -14,6 +14,11 @@ the certificate machinery succeeds
 the iterates converge to the planted matrix; on under- or adversarially
 sampled instances they settle on (or wander around) some other matrix of
 small nuclear norm, which is exactly what the phase experiments measure.
+
+The threshold step never forms a full SVD: only the singular triplets
+above tau survive it, so it takes one eigendecomposition of the Gram
+matrix Y^T Y restricted to eigenvalues above tau^2 (sigma > tau) and
+rebuilds the shrunk iterate from those right singular vectors.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .errors import InvalidParameterError
 from .sampling import SampleSet, project_omega
@@ -48,21 +54,35 @@ class SolverParams:
 
 @dataclass
 class SolveResult:
+    """Outcome of ``complete``; halvings counts how often the stall guard
+    halved the dual step."""
+
     Xhat: np.ndarray
     iters: int
     feas_resid: float
     nuclear_value: float
     converged: bool
+    halvings: int
 
 
 def _threshold(Y, tau: float, rank_cap: int | None):
     """Soft-threshold the singular values of Y by tau, keeping at most
-    rank_cap of them; returns the result and its singular values."""
-    U, s, Vt = np.linalg.svd(Y, full_matrices=False)
-    s = np.maximum(s - tau, 0.0)
-    if rank_cap is not None and rank_cap < s.shape[0]:
-        s[rank_cap:] = 0.0
-    return (U * s) @ Vt, s
+    rank_cap of them; returns the result and the shrunk singular values
+    of the kept components, largest first.
+
+    The kernel is one eigendecomposition of the Gram matrix Y^T Y
+    restricted to eigenvalues above tau^2, i.e. to sigma > tau: with V the
+    right singular vectors of the kept sigma, the result is
+    (Y V) diag((sigma - tau) / sigma) V^T = U diag(sigma - tau) V^T.
+    """
+    lam, V = scipy.linalg.eigh(Y.T @ Y, subset_by_value=(tau * tau, np.inf),
+                               driver="evr")
+    lam, V = lam[::-1], V[:, ::-1]
+    if rank_cap is not None:
+        lam, V = lam[:rank_cap], V[:, :rank_cap]
+    sigma = np.sqrt(lam)
+    s = np.maximum(sigma - tau, 0.0)  # sqrt may round to just below tau
+    return ((Y @ V) * (s / sigma)) @ V.T, s
 
 
 def shrink(X, tau: float) -> np.ndarray:
@@ -93,13 +113,13 @@ def complete(S: SampleSet, observed, params: SolverParams | None = None) -> Solv
     if S.size == 0:
         # unconstrained: the zero matrix is the exact minimizer
         return SolveResult(Xhat=np.zeros((S.n1, S.n2)), iters=0, feas_resid=0.0,
-                           nuclear_value=0.0, converged=True)
+                           nuclear_value=0.0, converged=True, halvings=0)
 
     m_obs = project_omega(observed, S)
     obs_scale = float(np.linalg.norm(m_obs))
     if obs_scale == 0.0:
         return SolveResult(Xhat=np.zeros((S.n1, S.n2)), iters=0, feas_resid=0.0,
-                           nuclear_value=0.0, converged=True)
+                           nuclear_value=0.0, converged=True, halvings=0)
 
     n = max(S.n1, S.n2)
     tau = params.tau
@@ -151,7 +171,7 @@ def complete(S: SampleSet, observed, params: SolverParams | None = None) -> Solv
         nuc_prev = nuc
         Y -= delta * resid
     return SolveResult(Xhat=X, iters=iters, feas_resid=feas,
-                       nuclear_value=nuc, converged=converged)
+                       nuclear_value=nuc, converged=converged, halvings=halvings)
 
 
 def recovered(M, Xhat, tol: float = 1e-4) -> tuple[bool, float]:

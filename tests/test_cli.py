@@ -112,11 +112,11 @@ def test_gen_block_model_demands_valid_mu0(tmp_path, capsys):
     assert rc == 0
     gt = gt_from_text(out.read_text())
     assert gt.model == "block"
-    # an impossible layout must exit through the numeric-failure path, not
-    # a traceback: mu0 * r > n leaves no room for a single block
+    # an impossible layout is a configuration error (exit 1), not a
+    # traceback: mu0 * r > n leaves no room for a single block
     rc = main(["gen", "--model", "block", "--n", "8", "--r", "5",
                "--mu0", "2.0", "--out", str(out)])
-    assert rc in (1, 2)
+    assert rc == 1
     assert capsys.readouterr().err
 
 

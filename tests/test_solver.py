@@ -7,7 +7,33 @@ from mclab.errors import InvalidParameterError
 from mclab.linalg import Rng
 from mclab.models import block_model_spec, gen_lower_bound_block, gen_random_orthogonal
 from mclab.sampling import SampleSet, sample_bernoulli, sample_uniform
-from mclab.solver import SolverParams, complete, recovered, shrink
+from mclab.solver import SolverParams, _threshold, complete, recovered, shrink
+
+
+def _svd_shrink(X, tau, rank_cap=None):
+    # the definition: U max(s - tau, 0) V^T from a dense SVD
+    U, s, Vt = np.linalg.svd(X, full_matrices=False)
+    s = np.maximum(s - tau, 0.0)
+    if rank_cap is not None:
+        s[rank_cap:] = 0.0
+    return (U * s) @ Vt
+
+
+def _with_spectrum(n1, n2, s, seed):
+    # Q1 diag(s) Q2^T with Haar factors: prescribed (possibly repeated or
+    # zero) singular values
+    gen = np.random.default_rng(seed)
+    Q1, _ = np.linalg.qr(gen.standard_normal((n1, len(s))))
+    Q2, _ = np.linalg.qr(gen.standard_normal((n2, len(s))))
+    return (Q1 * np.asarray(s, dtype=float)) @ Q2.T
+
+
+_KERNEL_INPUTS = {
+    "tall": np.random.default_rng(10).standard_normal((12, 7)),
+    "wide": np.random.default_rng(11).standard_normal((7, 12)),
+    "rank_deficient": _with_spectrum(10, 10, [4.0, 2.5, 1.5], 12),
+    "repeated": _with_spectrum(9, 8, [3.0, 3.0, 3.0, 1.0, 1.0, 0.5], 13),
+}
 
 
 def _full(n):
@@ -41,6 +67,47 @@ def test_shrink_soft_thresholds_spectrum():
     tau = float(s[2])  # lands inside the spectrum
     out = np.linalg.svd(shrink(X, tau), compute_uv=False)
     np.testing.assert_allclose(out, np.maximum(s - tau, 0.0), atol=1e-10)
+
+
+@pytest.mark.parametrize("name", sorted(_KERNEL_INPUTS))
+def test_shrink_matches_svd_definition(name):
+    X = _KERNEL_INPUTS[name]
+    s = np.linalg.svd(X, compute_uv=False)
+    # tau = 0, then tau inside the spectrum, between the top two distinct
+    # singular values (for "repeated", tau = 2 keeps the triple value 3)
+    s_distinct = np.unique(np.round(s, 12))[::-1]
+    for tau in (0.0, 0.5 * (s_distinct[0] + s_distinct[1])):
+        np.testing.assert_allclose(shrink(X, tau), _svd_shrink(X, tau), atol=1e-10)
+
+
+@pytest.mark.parametrize("name", sorted(_KERNEL_INPUTS))
+def test_shrink_past_top_singular_value_is_exactly_zero(name):
+    X = _KERNEL_INPUTS[name]
+    top = np.linalg.svd(X, compute_uv=False)[0]
+    for tau in (top * (1 + 1e-9), 2.0 * top):
+        out = shrink(X, tau)
+        assert out.shape == X.shape
+        np.testing.assert_array_equal(out, 0.0)
+
+
+def test_shrink_refuses_non_finite_input():
+    X = np.ones((5, 4))
+    X[2, 1] = np.nan
+    with pytest.raises(ValueError):
+        shrink(X, 0.5)
+
+
+def test_threshold_applies_rank_cap_and_returns_kept_values():
+    X = np.random.default_rng(14).standard_normal((10, 8))
+    s = np.linalg.svd(X, compute_uv=False)
+    tau = float(s[5])  # five singular values above tau
+    out, kept = _threshold(X, tau, 2)
+    np.testing.assert_allclose(out, _svd_shrink(X, tau, rank_cap=2), atol=1e-10)
+    np.testing.assert_allclose(kept, s[:2] - tau, atol=1e-10)
+    # a cap above the count of sigma > tau changes nothing
+    out, kept = _threshold(X, tau, 7)
+    np.testing.assert_allclose(out, _svd_shrink(X, tau), atol=1e-10)
+    np.testing.assert_allclose(kept, s[:5] - tau, atol=1e-10)
 
 
 def test_shrink_is_the_nuclear_prox():
@@ -132,6 +199,22 @@ def test_complete_recovers_generic_instance_with_certified_rate():
     res = complete(S, gt.M)
     ok, relerr = recovered(gt.M, res.Xhat)
     assert ok, relerr
+    # a converging solve never halves its step, and nuclear_value is the
+    # nuclear norm of the returned iterate
+    assert res.converged and res.halvings == 0
+    nuc = np.linalg.svd(res.Xhat, compute_uv=False).sum()
+    assert abs(res.nuclear_value - nuc) <= 1e-9 * nuc
+
+
+def test_complete_counts_halvings_on_a_stalled_solve():
+    # the model-equivalence cell (n=32, r=1, m=194): the ascent cycles and
+    # the stall guard halves the step before the iteration cap
+    gt = gen_random_orthogonal(32, 1, Rng(41, 0))
+    S = sample_uniform(32, 194, Rng(41, 1))
+    res = complete(S, gt.M)
+    assert not res.converged and res.halvings > 0
+    nuc = np.linalg.svd(res.Xhat, compute_uv=False).sum()
+    assert abs(res.nuclear_value - nuc) <= 1e-9 * nuc
 
 
 def test_complete_nuclear_value_never_beats_the_planted_matrix():
