@@ -42,11 +42,6 @@ from .experiments import (
     rows_from_csv,
     rows_to_csv,
     run,
-    run_certificate,
-    run_lower_bound,
-    run_model_equiv,
-    run_moments,
-    run_phase,
     wilson_interval,
 )
 from .geometry import (

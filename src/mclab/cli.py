@@ -15,17 +15,17 @@ import sys
 import numpy as np
 
 from .errors import GenerationFailureError, InvalidParameterError, NumericFailureError
-from .experiments import ExperimentConfig, apply_overrides, emit, parse_config, run
-from .linalg import Rng
-from .models import (
-    block_model_spec,
-    gen_lower_bound_block,
-    gen_low_coherence,
-    gen_random_orthogonal,
-    gen_uniformly_bounded,
-    gt_to_text,
-    hadamard_family,
+from .experiments import (
+    MODELS,
+    ExperimentConfig,
+    apply_overrides,
+    emit,
+    gen_ground_truth,
+    parse_config,
+    run,
 )
+from .linalg import Rng
+from .models import gt_to_text
 from .sampling import from_text as sampleset_from_text
 from .solver import SolverParams, complete, recovered
 
@@ -73,21 +73,8 @@ def _parse_sigma(text):
 
 
 def _cmd_gen(args) -> int:
-    rng = Rng(args.seed)
-    sigma = _parse_sigma(args.sigma)
-    if args.model == "random_orth":
-        gt = gen_random_orthogonal(args.n, args.r, rng, sigma=sigma)
-    elif args.model == "uniform_bounded":
-        fam = hadamard_family(args.n)
-        gt = gen_uniformly_bounded(fam, fam, args.r, rng, sigma=sigma)
-    elif args.model == "low_coherence":
-        gt = gen_low_coherence(args.n, args.r, rng, mu_b_cap=args.mu_b_cap,
-                               sigma=sigma)
-    elif args.model == "block":
-        gt = gen_lower_bound_block(block_model_spec(args.n, args.r, args.mu0),
-                                   rng, sigma=sigma)
-    else:
-        raise InvalidParameterError("unknown model %r" % args.model)
+    gt = gen_ground_truth(args.model, args.n, args.r, Rng(args.seed), args.mu0,
+                          args.mu_b_cap, sigma=_parse_sigma(args.sigma))
     with open(args.out, "w") as fh:
         fh.write(gt_to_text(gt))
     print("wrote %s ground truth (n=%d r=%d) to %s"
@@ -142,9 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
         sub.set_defaults(func=lambda a, k=kind: _cmd_experiment(k, a))
 
     gen = subs.add_parser("gen", help="write a serialized ground truth")
-    gen.add_argument("--model", required=True,
-                     choices=("random_orth", "uniform_bounded", "low_coherence",
-                              "block"))
+    gen.add_argument("--model", required=True, choices=MODELS)
     gen.add_argument("--n", type=int, required=True)
     gen.add_argument("--r", type=int, required=True)
     gen.add_argument("--seed", type=int, default=0)

@@ -1,15 +1,20 @@
 """Experiment drivers with a frozen CSV schema.
 
 Every run kind (phase sweep, certificate sweep, coverage lower bound,
-sampling-model equivalence, trace moments) emits the same wide row type;
+sampling-model equivalence, trace moments) goes through one cell loop
+behind run(): it validates the config, builds the kind's cells from the
+table _KINDS (grid axes and one function that runs a cell's trials),
+distributes whole cells over threads, and times each cell and fills the
+common columns of its row.  Every kind emits the same wide row type;
 columns that do not apply to a kind stay empty.  Rows come out in sorted
 cell order and all randomness is derived from (seed, cell index, trial,
 slot), so reruns of the same config are byte-identical -- including across
 thread counts, since threading only distributes whole cells.
 
-Paired designs fall out of the stream layout: a phase run and a
-certificate run with the same config see the same ground truths and the
-same observation sets trial for trial.
+Paired designs fall out of the stream layout: phase, cert and equiv draw
+each trial's ground truth and observation set through one helper, so a
+phase run and a certificate run with the same config see the same ground
+truths and the same observation sets trial for trial.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ from __future__ import annotations
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
+from functools import partial
 from itertools import product
 
 import numpy as np
@@ -48,8 +54,7 @@ _SLOT_MODEL = 0
 _SLOT_OMEGA = 1
 _SLOT_OMEGA2 = 3
 
-_KINDS = ("phase", "cert", "lower", "equiv", "moments")
-_MODELS = ("random_orth", "uniform_bounded", "low_coherence", "block")
+MODELS = ("random_orth", "uniform_bounded", "low_coherence", "block")
 
 
 @dataclass
@@ -147,9 +152,9 @@ def apply_overrides(cfg: ExperimentConfig, pairs) -> ExperimentConfig:
 
 def _validate(cfg: ExperimentConfig):
     if cfg.kind not in _KINDS:
-        raise InvalidParameterError("kind must be one of %s" % (_KINDS,))
-    if cfg.model not in _MODELS:
-        raise InvalidParameterError("model must be one of %s" % (_MODELS,))
+        raise InvalidParameterError("kind must be one of %s" % (tuple(_KINDS),))
+    if cfg.model not in MODELS:
+        raise InvalidParameterError("model must be one of %s" % (MODELS,))
     if cfg.sampling not in ("bernoulli", "uniform"):
         raise InvalidParameterError("sampling must be bernoulli or uniform")
     if cfg.trials < 1:
@@ -158,8 +163,26 @@ def _validate(cfg: ExperimentConfig):
         raise InvalidParameterError("equiv_p must be 'm' or '2m'")
     if cfg.threads < 1:
         raise InvalidParameterError("threads must be >= 1")
-    if not cfg.n_grid or not cfg.r_grid:
-        raise InvalidParameterError("n_grid and r_grid must be nonempty")
+    if cfg.format not in ("csv", "svg"):
+        raise InvalidParameterError("format must be csv or svg")
+    axes = _KINDS[cfg.kind][0]
+    for axis in axes:
+        if not getattr(cfg, axis):
+            raise InvalidParameterError("%s must be nonempty for kind=%s"
+                                        % (axis, cfg.kind))
+    for n in cfg.n_grid:
+        if not all(1 <= r <= n for r in cfg.r_grid):
+            raise InvalidParameterError("r_grid %s out of range for n=%d"
+                                        % (cfg.r_grid, n))
+        if "m_grid" in axes and not all(1 <= m <= n * n for m in cfg.m_grid):
+            raise InvalidParameterError("m_grid %s out of range for n=%d"
+                                        % (cfg.m_grid, n))
+    if "p_grid" in axes and not all(0.0 < p <= 1.0 for p in cfg.p_grid):
+        raise InvalidParameterError("p must lie in (0, 1]")
+    if cfg.kind == "cert" and cfg.cert_method not in ("neumann", "cg"):
+        raise InvalidParameterError("cert_method must be neumann or cg")
+    if cfg.kind == "moments" and cfg.trials < 2:
+        raise InvalidParameterError("moments need trials >= 2")
 
 
 @dataclass
@@ -234,18 +257,23 @@ def _stream(cell_idx: int, trial: int, slot: int) -> int:
     return cell_idx * (1 << 24) + trial * 8 + slot
 
 
-def _gen_instance(cfg: ExperimentConfig, n: int, r: int, rng: Rng):
-    if cfg.model == "random_orth":
-        return gen_random_orthogonal(n, r, rng)
-    if cfg.model == "uniform_bounded":
+def gen_ground_truth(model: str, n: int, r: int, rng: Rng, mu0: float,
+                     mu_b_cap: float, sigma=None):
+    """Draw one ground truth of the named model (one of MODELS).
+
+    mu0 is the block model's coherence target and mu_b_cap the
+    low-coherence model's flatness cap; each other model ignores both.
+    """
+    if model == "random_orth":
+        return gen_random_orthogonal(n, r, rng, sigma=sigma)
+    if model == "uniform_bounded":
         fam = hadamard_family(n)
-        return gen_uniformly_bounded(fam, fam, r, rng)
-    if cfg.model == "low_coherence":
-        return gen_low_coherence(n, r, rng, mu_b_cap=cfg.mu_b_cap)
-    if cfg.model == "block":
-        bspec = block_model_spec(n, r, cfg.mu0_grid[0])
-        return gen_lower_bound_block(bspec, rng)
-    raise InvalidParameterError("unknown model %r" % cfg.model)
+        return gen_uniformly_bounded(fam, fam, r, rng, sigma=sigma)
+    if model == "low_coherence":
+        return gen_low_coherence(n, r, rng, mu_b_cap=mu_b_cap, sigma=sigma)
+    if model == "block":
+        return gen_lower_bound_block(block_model_spec(n, r, mu0), rng, sigma=sigma)
+    raise InvalidParameterError("unknown model %r" % model)
 
 
 def _solver_params(cfg: ExperimentConfig, n: int, r: int) -> SolverParams:
@@ -260,263 +288,175 @@ def _solver_params(cfg: ExperimentConfig, n: int, r: int) -> SolverParams:
                         rank_cap=cap)
 
 
-def _sample(cfg: ExperimentConfig, n: int, m: int, rng: Rng):
-    if cfg.sampling == "uniform":
-        return sample_uniform(n, m, rng)
-    return sample_bernoulli(n, m / (n * n), rng)
+def _draw(cfg: ExperimentConfig, idx: int, t: int, n: int, r: int, m: int,
+          sampling: str):
+    """Ground truth and observation set of trial t in cell idx.
+
+    Phase, cert and equiv all draw here, from the same two substreams, so
+    runs of these kinds with one config see the same instances trial for
+    trial.
+    """
+    gt = gen_ground_truth(cfg.model, n, r, Rng(cfg.seed, _stream(idx, t, _SLOT_MODEL)),
+                          cfg.mu0_grid[0], cfg.mu_b_cap)
+    rng = Rng(cfg.seed, _stream(idx, t, _SLOT_OMEGA))
+    if sampling == "uniform":
+        return gt, sample_uniform(n, m, rng)
+    return gt, sample_bernoulli(n, m / (n * n), rng)
 
 
 def _mean(values) -> float | None:
     return float(np.mean(values)) if len(values) else None
 
 
-def _run_cells(cfg: ExperimentConfig, cells, worker) -> list:
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            futures = [pool.submit(worker, idx, cell) for idx, cell in enumerate(cells)]
-            return [f.result() for f in futures]
-    return [worker(idx, cell) for idx, cell in enumerate(cells)]
+def _mean_mus(reports) -> dict:
+    return dict(mean_mu0=_mean([inc.mu0 for inc in reports]),
+                mean_mu1=_mean([inc.mu1 for inc in reports]),
+                mean_mu2=_mean([inc.mu2 for inc in reports]))
 
 
-def _pc_cells(cfg: ExperimentConfig) -> list:
-    if not cfg.m_grid:
-        raise InvalidParameterError("m_grid must be nonempty for this kind")
-    cells = list(product(sorted(cfg.n_grid), sorted(cfg.r_grid), sorted(cfg.m_grid)))
-    for n, r, m in cells:
-        if not (1 <= m <= n * n):
-            raise InvalidParameterError("cell m=%d out of range for n=%d" % (m, n))
-        if not (1 <= r <= n):
-            raise InvalidParameterError("cell r=%d out of range for n=%d" % (r, n))
-    return cells
+# Each cell function runs one cell's trials and returns that kind's row
+# fields: at least m, p and successes, plus any common field the kind sets
+# differently from what _run_cell fills in.
+
+def _phase_cell(cfg, idx, n, r, m) -> dict:
+    """Recovery rate of the thresholding solver."""
+    params = _solver_params(cfg, n, r)
+    succ = 0
+    relerrs, incs = [], []
+    for t in range(cfg.trials):
+        gt, S = _draw(cfg, idx, t, n, r, m, cfg.sampling)
+        ok, rel = recovered(gt.M, complete(S, gt.M, params).Xhat, tol=cfg.recover_tol)
+        succ += int(ok)
+        relerrs.append(rel)
+        incs.append(incoherence(gt.tangent_space()))
+    return dict(m=m, p=m / (n * n), successes=succ, mean_relerr=_mean(relerrs),
+                **_mean_mus(incs))
 
 
-def run_phase(cfg: ExperimentConfig) -> list[ExperimentRow]:
-    """Recovery-rate sweep of the thresholding solver over (n, r, m)."""
-    cfg.kind = cfg.kind or "phase"
-    _validate(cfg)
-    cells = _pc_cells(cfg)
-
-    def worker(idx, cell):
-        n, r, m = cell
-        t0 = time.perf_counter()
-        succ = 0
-        relerrs = []
-        mu0s, mu1s, mu2s = [], [], []
-        params = _solver_params(cfg, n, r)
-        for t in range(cfg.trials):
-            gt = _gen_instance(cfg, n, r, Rng(cfg.seed, _stream(idx, t, _SLOT_MODEL)))
-            S = _sample(cfg, n, m, Rng(cfg.seed, _stream(idx, t, _SLOT_OMEGA)))
-            res = complete(S, gt.M, params)
-            ok, rel = recovered(gt.M, res.Xhat, tol=cfg.recover_tol)
-            succ += int(ok)
-            relerrs.append(rel)
-            inc = incoherence(gt.tangent_space())
-            mu0s.append(inc.mu0)
-            mu1s.append(inc.mu1)
-            mu2s.append(inc.mu2)
-        lo, hi = wilson_interval(succ, cfg.trials)
-        wall = (time.perf_counter() - t0) * 1e3 if cfg.record_timing else 0.0
-        return ExperimentRow(
-            kind="phase", model=cfg.model, sampling=cfg.sampling, n=n, r=r, m=m,
-            p=m / (n * n), trials=cfg.trials, successes=succ,
-            success_rate=succ / cfg.trials, wilson_lo=lo, wilson_hi=hi,
-            mean_relerr=_mean(relerrs), mean_mu0=_mean(mu0s),
-            mean_mu1=_mean(mu1s), mean_mu2=_mean(mu2s), wall_ms=wall,
-        )
-
-    return _run_cells(cfg, cells, worker)
+def _cert_cell(cfg, idx, n, r, m) -> dict:
+    """Certificate success, trial for trial on phase's instances."""
+    kw = {"k_max": cfg.cert_kmax} if cfg.cert_method == "neumann" else {}
+    succ = 0
+    a_stats, ptperps, incs = [], [], []
+    for t in range(cfg.trials):
+        gt, S = _draw(cfg, idx, t, n, r, m, cfg.sampling)
+        T = gt.tangent_space()
+        rep = try_build_certificate(T, S, method=cfg.cert_method, **kw)
+        succ += int(verify_certificate(T, S, rep, tol=cfg.cert_tol))
+        a_stats.append(rep.a_stat)
+        ptperps.append(rep.ptperp_norm)
+        incs.append(incoherence(T))
+    return dict(m=m, p=m / (n * n), successes=succ, mean_a_stat=_mean(a_stats),
+                mean_ptperp=_mean(ptperps), **_mean_mus(incs))
 
 
-def run_certificate(cfg: ExperimentConfig) -> list[ExperimentRow]:
-    """Certificate-success sweep; paired with run_phase via shared streams."""
-    cfg.kind = cfg.kind or "cert"
-    _validate(cfg)
-    if cfg.cert_method not in ("neumann", "cg"):
-        raise InvalidParameterError("cert_method must be neumann or cg")
-    cells = _pc_cells(cfg)
-
-    def worker(idx, cell):
-        n, r, m = cell
-        t0 = time.perf_counter()
-        succ = 0
-        a_stats, ptperps = [], []
-        mu0s, mu1s, mu2s = [], [], []
-        for t in range(cfg.trials):
-            gt = _gen_instance(cfg, n, r, Rng(cfg.seed, _stream(idx, t, _SLOT_MODEL)))
-            S = _sample(cfg, n, m, Rng(cfg.seed, _stream(idx, t, _SLOT_OMEGA)))
-            T = gt.tangent_space()
-            kw = {"k_max": cfg.cert_kmax} if cfg.cert_method == "neumann" else {}
-            rep = try_build_certificate(T, S, method=cfg.cert_method, **kw)
-            succ += int(verify_certificate(T, S, rep, tol=cfg.cert_tol))
-            a_stats.append(rep.a_stat)
-            ptperps.append(rep.ptperp_norm)
-            inc = incoherence(T)
-            mu0s.append(inc.mu0)
-            mu1s.append(inc.mu1)
-            mu2s.append(inc.mu2)
-        lo, hi = wilson_interval(succ, cfg.trials)
-        wall = (time.perf_counter() - t0) * 1e3 if cfg.record_timing else 0.0
-        return ExperimentRow(
-            kind="cert", model=cfg.model, sampling=cfg.sampling, n=n, r=r, m=m,
-            p=m / (n * n), trials=cfg.trials, successes=succ,
-            success_rate=succ / cfg.trials, wilson_lo=lo, wilson_hi=hi,
-            mean_a_stat=_mean(a_stats), mean_ptperp=_mean(ptperps),
-            mean_mu0=_mean(mu0s), mean_mu1=_mean(mu1s), mean_mu2=_mean(mu2s),
-            wall_ms=wall,
-        )
-
-    return _run_cells(cfg, cells, worker)
-
-
-def run_lower_bound(cfg: ExperimentConfig) -> list[ExperimentRow]:
-    """Block-coverage experiment against the closed-form failure law.
+def _lower_cell(cfg, idx, n, r, mu0, p) -> dict:
+    """Block coverage against the closed-form failure law.
 
     A trial 'fails' when some in-block row or column receives no sample
     inside its block, leaving a factor row free and the matrix
     undeterminable.  The closed-form reference treats the n coverage
     events as independent: 1 - (1 - pi1)^n with pi1 = (1-p)^ell.
     """
-    cfg.kind = cfg.kind or "lower"
-    _validate(cfg)
-    if not cfg.p_grid:
-        raise InvalidParameterError("p_grid must be nonempty for kind=lower")
-    cells = []
-    for n in sorted(cfg.n_grid):
-        for r in sorted(cfg.r_grid):
-            for mu0 in sorted(cfg.mu0_grid):
-                for p in sorted(cfg.p_grid):
-                    if not (0.0 < p <= 1.0):
-                        raise InvalidParameterError("p must lie in (0, 1]")
-                    cells.append((n, r, mu0, p))
-
-    def worker(idx, cell):
-        n, r, mu0, p = cell
-        t0 = time.perf_counter()
-        bspec = block_model_spec(n, r, mu0)
-        ell = bspec.ell
-        covered = 0
-        for t in range(cfg.trials):
-            S = sample_bernoulli(n, p, Rng(cfg.seed, _stream(idx, t, _SLOT_OMEGA)))
-            ok = True
-            for lo_b, hi_b in bspec.blocks:
-                sub = S.mask[lo_b:hi_b, lo_b:hi_b]
-                if not (sub.any(axis=1).all() and sub.any(axis=0).all()):
-                    ok = False
-                    break
-            covered += int(ok)
-        pi1 = (1.0 - p) ** ell
-        pi0 = (1.0 - p) ** n
-        prob_closed = 1.0 - (1.0 - pi1) ** n
-        prob_empirical = 1.0 - covered / cfg.trials
-        m = int(round(p * n * n))
-        m_star = n * n * (1.0 - (n / (2.0 * cfg.delta)) ** (-mu0 * r / n))
-        lo, hi = wilson_interval(covered, cfg.trials)
-        wall = (time.perf_counter() - t0) * 1e3 if cfg.record_timing else 0.0
-        return ExperimentRow(
-            kind="lower", model="block", sampling="bernoulli", n=n, r=r, m=m,
-            p=p, trials=cfg.trials, successes=covered,
-            success_rate=covered / cfg.trials, wilson_lo=lo, wilson_hi=hi,
-            mu0_target=mu0, ell=ell, delta=cfg.delta, pi0=pi0, pi1=pi1,
-            prob_closed=prob_closed, prob_empirical=prob_empirical,
-            m_star=m_star, below_m_star=int(m < m_star), wall_ms=wall,
-        )
-
-    return _run_cells(cfg, cells, worker)
+    bspec = block_model_spec(n, r, mu0)
+    covered = 0
+    for t in range(cfg.trials):
+        S = sample_bernoulli(n, p, Rng(cfg.seed, _stream(idx, t, _SLOT_OMEGA)))
+        for lo, hi in bspec.blocks:
+            sub = S.mask[lo:hi, lo:hi]
+            if not (sub.any(axis=1).all() and sub.any(axis=0).all()):
+                break
+        else:
+            covered += 1
+    pi1 = (1.0 - p) ** bspec.ell
+    m = int(round(p * n * n))
+    m_star = n * n * (1.0 - (n / (2.0 * cfg.delta)) ** (-mu0 * r / n))
+    return dict(model="block", sampling="bernoulli", m=m, p=p, successes=covered,
+                mu0_target=mu0, ell=bspec.ell, delta=cfg.delta,
+                pi0=(1.0 - p) ** n, pi1=pi1, prob_closed=1.0 - (1.0 - pi1) ** n,
+                prob_empirical=1.0 - covered / cfg.trials, m_star=m_star,
+                below_m_star=int(m < m_star))
 
 
-def run_model_equiv(cfg: ExperimentConfig) -> list[ExperimentRow]:
+def _equiv_cell(cfg, idx, n, r, m) -> dict:
     """Uniform-m vs Bernoulli failure rates on shared ground truths.
 
     equiv_p chooses the Bernoulli rate: 'm' for p = m/n^2, '2m' for the
     doubled rate that upper-bounds uniform failure from the other side.
+    The Wilson interval is the uniform failure rate's.
     """
-    cfg.kind = cfg.kind or "equiv"
-    _validate(cfg)
-    cells = _pc_cells(cfg)
-
-    def worker(idx, cell):
-        n, r, m = cell
-        t0 = time.perf_counter()
-        p_ber = min(1.0, (m if cfg.equiv_p == "m" else 2 * m) / (n * n))
-        params = _solver_params(cfg, n, r)
-        fail_u = 0
-        fail_b = 0
-        for t in range(cfg.trials):
-            gt = _gen_instance(cfg, n, r, Rng(cfg.seed, _stream(idx, t, _SLOT_MODEL)))
-            s_unif = sample_uniform(n, m, Rng(cfg.seed, _stream(idx, t, _SLOT_OMEGA)))
-            s_ber = sample_bernoulli(n, p_ber, Rng(cfg.seed, _stream(idx, t, _SLOT_OMEGA2)))
-            ok_u, _ = recovered(gt.M, complete(s_unif, gt.M, params).Xhat,
-                                tol=cfg.recover_tol)
-            ok_b, _ = recovered(gt.M, complete(s_ber, gt.M, params).Xhat,
-                                tol=cfg.recover_tol)
-            fail_u += int(not ok_u)
-            fail_b += int(not ok_b)
-        tr = cfg.trials
-        rate_u = fail_u / tr
-        rate_b = fail_b / tr
-        ratio = rate_u / max(rate_b, 0.5 / tr)
-        se = float(np.sqrt(rate_u * (1 - rate_u) / tr + 4.0 * rate_b * (1 - rate_b) / tr))
-        lo, hi = wilson_interval(fail_u, tr)
-        wall = (time.perf_counter() - t0) * 1e3 if cfg.record_timing else 0.0
-        return ExperimentRow(
-            kind="equiv", model=cfg.model, sampling="uniform", n=n, r=r, m=m,
-            p=m / (n * n), trials=tr, successes=tr - fail_u,
-            success_rate=1.0 - rate_u, wilson_lo=lo, wilson_hi=hi,
-            p_ber=p_ber, fail_unif=rate_u, fail_ber=rate_b, fail_ratio=ratio,
-            se_pooled=se, wall_ms=wall,
-        )
-
-    return _run_cells(cfg, cells, worker)
+    p_ber = min(1.0, (m if cfg.equiv_p == "m" else 2 * m) / (n * n))
+    params = _solver_params(cfg, n, r)
+    fail_u = 0
+    fail_b = 0
+    for t in range(cfg.trials):
+        gt, s_unif = _draw(cfg, idx, t, n, r, m, "uniform")
+        s_ber = sample_bernoulli(n, p_ber, Rng(cfg.seed, _stream(idx, t, _SLOT_OMEGA2)))
+        ok_u, _ = recovered(gt.M, complete(s_unif, gt.M, params).Xhat,
+                            tol=cfg.recover_tol)
+        ok_b, _ = recovered(gt.M, complete(s_ber, gt.M, params).Xhat,
+                            tol=cfg.recover_tol)
+        fail_u += int(not ok_u)
+        fail_b += int(not ok_b)
+    tr = cfg.trials
+    rate_u = fail_u / tr
+    rate_b = fail_b / tr
+    lo, hi = wilson_interval(fail_u, tr)
+    return dict(sampling="uniform", m=m, p=m / (n * n), successes=tr - fail_u,
+                success_rate=1.0 - rate_u, wilson_lo=lo, wilson_hi=hi,
+                p_ber=p_ber, fail_unif=rate_u, fail_ber=rate_b,
+                fail_ratio=rate_u / max(rate_b, 0.5 / tr),
+                se_pooled=float(np.sqrt(rate_u * (1 - rate_u) / tr
+                                        + 4.0 * rate_b * (1 - rate_b) / tr)))
 
 
-def run_moments(cfg: ExperimentConfig) -> list[ExperimentRow]:
+def _moments_cell(cfg, idx, n, r, p, j, k) -> dict:
     """Monte-Carlo trace moments of the tangent chains vs their bounds."""
-    cfg.kind = cfg.kind or "moments"
-    _validate(cfg)
-    if not cfg.p_grid:
-        raise InvalidParameterError("p_grid must be nonempty for kind=moments")
-    if cfg.trials < 2:
-        raise InvalidParameterError("moments need trials >= 2")
-    cells = []
-    for n in sorted(cfg.n_grid):
-        for r in sorted(cfg.r_grid):
-            for p in sorted(cfg.p_grid):
-                for j in sorted(cfg.j_grid):
-                    for k in sorted(cfg.k_grid):
-                        cells.append((n, r, p, j, k))
+    gen = partial(gen_ground_truth, cfg.model, mu0=cfg.mu0_grid[0],
+                  mu_b_cap=cfg.mu_b_cap)
+    est = estimate_trace_moment(gen, n, r, p, j, k, cfg.trials,
+                                rng=Rng(cfg.seed, _stream(idx, 0, _SLOT_MODEL)))
+    return dict(sampling="bernoulli", m=int(round(p * n * n)), p=p, successes=0,
+                wilson_lo=0.0, wilson_hi=0.0, j=j, k=k, moment_mean=est.mean,
+                moment_se=est.stderr, moment_bound_power=est.bound_power,
+                moment_bound_poly=est.bound_poly, moment_closed=est.closed_form)
 
-    def gen(n, r, rng):
-        return _gen_instance(cfg, n, r, rng)
 
-    def worker(idx, cell):
-        n, r, p, j, k = cell
-        t0 = time.perf_counter()
-        est = estimate_trace_moment(gen, n, r, p, j, k, cfg.trials,
-                                    rng=Rng(cfg.seed, _stream(idx, 0, _SLOT_MODEL)))
-        wall = (time.perf_counter() - t0) * 1e3 if cfg.record_timing else 0.0
-        return ExperimentRow(
-            kind="moments", model=cfg.model, sampling="bernoulli", n=n, r=r,
-            m=int(round(p * n * n)), p=p, trials=cfg.trials, successes=0,
-            success_rate=0.0, wilson_lo=0.0, wilson_hi=0.0,
-            j=j, k=k, moment_mean=est.mean, moment_se=est.stderr,
-            moment_bound_power=est.bound_power, moment_bound_poly=est.bound_poly,
-            moment_closed=est.closed_form, wall_ms=wall,
-        )
+# kind -> (grid axes, outermost first; cell function).  A kind's cells are
+# the sorted product of its axes, which always start with n_grid, r_grid.
+_KINDS = {
+    "phase": (("n_grid", "r_grid", "m_grid"), _phase_cell),
+    "cert": (("n_grid", "r_grid", "m_grid"), _cert_cell),
+    "lower": (("n_grid", "r_grid", "mu0_grid", "p_grid"), _lower_cell),
+    "equiv": (("n_grid", "r_grid", "m_grid"), _equiv_cell),
+    "moments": (("n_grid", "r_grid", "p_grid", "j_grid", "k_grid"), _moments_cell),
+}
 
-    return _run_cells(cfg, cells, worker)
+
+def _run_cell(cfg: ExperimentConfig, cell_fn, idx: int, cell) -> ExperimentRow:
+    t0 = time.perf_counter()
+    fields = cell_fn(cfg, idx, *cell)
+    succ = fields["successes"]
+    lo, hi = wilson_interval(succ, cfg.trials)
+    row = dict(kind=cfg.kind, model=cfg.model, sampling=cfg.sampling, n=cell[0],
+               r=cell[1], trials=cfg.trials, success_rate=succ / cfg.trials,
+               wilson_lo=lo, wilson_hi=hi)
+    row.update(fields)
+    row["wall_ms"] = (time.perf_counter() - t0) * 1e3 if cfg.record_timing else 0.0
+    return ExperimentRow(**row)
 
 
 def run(cfg: ExperimentConfig) -> list[ExperimentRow]:
-    """Dispatch on cfg.kind."""
+    """Run the sweep of cfg.kind: one row per grid cell, in sorted cell order."""
     _validate(cfg)
-    runner = {
-        "phase": run_phase,
-        "cert": run_certificate,
-        "lower": run_lower_bound,
-        "equiv": run_model_equiv,
-        "moments": run_moments,
-    }[cfg.kind]
-    return runner(cfg)
+    axes, cell_fn = _KINDS[cfg.kind]
+    cells = list(product(*(sorted(getattr(cfg, axis)) for axis in axes)))
+    if cfg.threads > 1:
+        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
+            futures = [pool.submit(_run_cell, cfg, cell_fn, idx, cell)
+                       for idx, cell in enumerate(cells)]
+            return [f.result() for f in futures]
+    return [_run_cell(cfg, cell_fn, idx, cell) for idx, cell in enumerate(cells)]
 
 
 def _fmt(value) -> str:

@@ -23,10 +23,7 @@ from mclab.certificate import (
 from mclab.experiments import (
     ExperimentConfig,
     rows_to_csv,
-    run_certificate,
-    run_lower_bound,
-    run_model_equiv,
-    run_phase,
+    run,
 )
 from mclab.geometry import check_cancellation, incoherence
 from mclab.linalg import Rng
@@ -137,8 +134,8 @@ def test_acceptance_04_recovery_at_theorem_scaling():
     m = math.ceil(10 * n * r * math.log10(n))
     base = dict(n_grid=(n,), r_grid=(r,), m_grid=(m,), model="random_orth",
                 trials=50, seed=7)
-    ph = run_phase(ExperimentConfig(kind="phase", **base))[0]
-    ce = run_certificate(ExperimentConfig(kind="cert", **base))[0]
+    ph = run(ExperimentConfig(kind="phase", **base))[0]
+    ce = run(ExperimentConfig(kind="cert", **base))[0]
     # shared streams make the runs paired; a certified trial that failed
     # recovery would force the counts apart by more than the 2% slack
     implied = (ce.successes - (ph.trials - ph.successes)) / max(ce.successes, 1)
@@ -156,7 +153,7 @@ def test_acceptance_05_information_floor():
     m = 2 * n * r - r * r - 5
     cfg = ExperimentConfig(kind="phase", n_grid=(n,), r_grid=(r,), m_grid=(m,),
                            model="random_orth", trials=50, seed=7)
-    row = run_phase(cfg)[0]
+    row = run(cfg)[0]
     dt = time.perf_counter() - t0
     ok = row.success_rate <= 0.05 and dt < 300.0
     _report(5, ok, "m=%d below dim T: recovery %.2f <= 0.05, %.0fs < 300s"
@@ -168,7 +165,7 @@ def test_acceptance_06_block_coverage_law():
     cfg = ExperimentConfig(kind="lower", n_grid=(40,), r_grid=(2,),
                            mu0_grid=(2.0,), p_grid=(0.2,), trials=10_000,
                            seed=31, model="block")
-    row = run_lower_bound(cfg)[0]
+    row = run(cfg)[0]
     diff = abs(row.prob_empirical - row.prob_closed)
     dt = time.perf_counter() - t0
     ok = diff <= 0.03 and dt < 30.0
@@ -181,7 +178,7 @@ def test_acceptance_07_model_equivalence():
     cfg = ExperimentConfig(kind="equiv", n_grid=(32,), r_grid=(1,),
                            m_grid=(194,), model="random_orth", trials=400,
                            seed=41, equiv_p="2m")
-    row = run_model_equiv(cfg)[0]
+    row = run(cfg)[0]
     rhs = 2.0 * row.fail_ber + 3.0 * row.se_pooled
     dt = time.perf_counter() - t0
     ok = row.fail_unif <= rhs and dt < 600.0
@@ -245,7 +242,7 @@ def test_acceptance_10_golden_csv():
     cfg = ExperimentConfig(kind="phase", n_grid=(12, 16), r_grid=(1,),
                            m_grid=(80, 140), model="random_orth", trials=5,
                            seed=101)
-    text = rows_to_csv(run_phase(cfg))
+    text = rows_to_csv(run(cfg))
     with open(GOLDEN) as fh:
         golden = fh.read()
     dt = time.perf_counter() - t0

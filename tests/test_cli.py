@@ -12,8 +12,8 @@ from mclab.errors import (
     InjectivityError,
     NumericFailureError,
 )
-from mclab.experiments import rows_from_csv
-from mclab.models import gt_from_text
+from mclab.experiments import MODELS, gen_ground_truth, rows_from_csv
+from mclab.models import gt_from_text, gt_to_text
 from mclab.sampling import to_text as sampleset_to_text, sample_bernoulli
 from mclab.linalg import Rng
 
@@ -102,6 +102,18 @@ def test_gen_solve_round_trip(tmp_path, capsys):
     assert "recovered=1" in log
     Xhat = np.loadtxt(xhat_path)
     assert np.linalg.norm(Xhat - gt.M) / np.linalg.norm(gt.M) <= 1e-4
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_gen_writes_the_runners_draw(tmp_path, model):
+    # `mclab gen` and the experiment runners share one model dispatch
+    out = tmp_path / "gt.txt"
+    rc = main(["gen", "--model", model, "--n", "8", "--r", "2", "--seed", "5",
+               "--sigma", "3,1.5", "--out", str(out)])
+    assert rc == 0
+    gt = gen_ground_truth(model, 8, 2, Rng(5), mu0=2.0, mu_b_cap=6.0,
+                          sigma=np.array([3.0, 1.5]))
+    assert out.read_text() == gt_to_text(gt)
 
 
 def test_gen_block_model_demands_valid_mu0(tmp_path, capsys):

@@ -2,6 +2,7 @@
 and per-kind row semantics."""
 
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,13 +17,31 @@ from mclab.experiments import (
     rows_from_csv,
     rows_to_csv,
     run,
-    run_certificate,
-    run_lower_bound,
-    run_model_equiv,
-    run_moments,
-    run_phase,
     wilson_interval,
 )
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
+# One small config per run kind.  Each entry but phase is pinned byte for
+# byte by GOLDEN_DIR/<name>.csv (phase by phase_2x2.csv in the acceptance
+# gate); together the goldens cover all four models and both samplers.
+# Regenerate them with the README procedure.
+KIND_CONFIGS = {
+    "phase": dict(kind="phase", n_grid=(8,), r_grid=(1,), m_grid=(40, 64),
+                  model="random_orth", trials=5, seed=11),
+    "cert_neumann": dict(kind="cert", cert_method="neumann", n_grid=(10,),
+                         r_grid=(1,), m_grid=(50, 80), trials=3, seed=5),
+    "cert_cg": dict(kind="cert", cert_method="cg", model="low_coherence",
+                    sampling="uniform", n_grid=(10,), r_grid=(1,),
+                    m_grid=(50, 80), trials=3, seed=5),
+    "lower": dict(kind="lower", model="block", n_grid=(16,), r_grid=(2,),
+                  mu0_grid=(2.0, 4.0), p_grid=(0.2, 0.4), trials=40, seed=9),
+    "equiv": dict(kind="equiv", model="uniform_bounded", n_grid=(8,),
+                  r_grid=(1,), m_grid=(24, 40), trials=3, equiv_p="2m", seed=13),
+    "moments": dict(kind="moments", model="block", n_grid=(8,), r_grid=(1,),
+                    p_grid=(0.5,), j_grid=(1, 2), k_grid=(0, 1), trials=4,
+                    seed=17),
+}
 
 
 def _phase_cfg(**kw):
@@ -77,21 +96,23 @@ def test_validation_failures_surface():
     with pytest.raises(InvalidParameterError):
         run(_phase_cfg(kind=""))
     with pytest.raises(InvalidParameterError):
-        run_phase(_phase_cfg(model="dense"))
+        run(_phase_cfg(model="dense"))
     with pytest.raises(InvalidParameterError):
-        run_phase(_phase_cfg(sampling="poisson"))
+        run(_phase_cfg(sampling="poisson"))
     with pytest.raises(InvalidParameterError):
-        run_phase(_phase_cfg(trials=0))
+        run(_phase_cfg(trials=0))
     with pytest.raises(InvalidParameterError):
-        run_phase(_phase_cfg(threads=0))
+        run(_phase_cfg(threads=0))
     with pytest.raises(InvalidParameterError):
-        run_phase(_phase_cfg(n_grid=()))
+        run(_phase_cfg(n_grid=()))
     with pytest.raises(InvalidParameterError):
-        run_phase(_phase_cfg(m_grid=()))
+        run(_phase_cfg(m_grid=()))
     with pytest.raises(InvalidParameterError):
-        run_phase(_phase_cfg(m_grid=(100,)))  # m > n^2
+        run(_phase_cfg(m_grid=(100,)))  # m > n^2
     with pytest.raises(InvalidParameterError):
-        run_model_equiv(_phase_cfg(kind="equiv", equiv_p="3m"))
+        run(_phase_cfg(kind="equiv", equiv_p="3m"))
+    with pytest.raises(InvalidParameterError):
+        run(_phase_cfg(format="pdf"))  # refused before any cell runs
 
 
 # ---------------------------------------------------------------- wilson
@@ -121,7 +142,7 @@ def test_fields_schema_is_frozen():
 
 
 def test_csv_round_trip_is_exact():
-    rows = run_phase(_phase_cfg(m_grid=(40, 64)))
+    rows = run(_phase_cfg(m_grid=(40, 64)))
     text = rows_to_csv(rows)
     assert text.splitlines()[0] == ",".join(FIELDS)
     back = rows_from_csv(text)
@@ -133,14 +154,14 @@ def test_csv_rejects_malformed_input():
         rows_from_csv("")
     with pytest.raises(InvalidParameterError):
         rows_from_csv("a,b,c\n1,2,3\n")
-    good = rows_to_csv(run_phase(_phase_cfg()))
+    good = rows_to_csv(run(_phase_cfg()))
     header, row = good.splitlines()[:2]
     with pytest.raises(InvalidParameterError):
         rows_from_csv(header + "\n" + row + ",extra\n")
 
 
 def test_emit_csv_and_svg(tmp_path):
-    rows = run_phase(_phase_cfg(m_grid=(40, 64)))
+    rows = run(_phase_cfg(m_grid=(40, 64)))
     csv_path = tmp_path / "out.csv"
     emit(rows, str(csv_path))
     assert csv_path.read_text() == rows_to_csv(rows)
@@ -159,12 +180,13 @@ def test_emit_csv_and_svg(tmp_path):
 # ---------------------------------------------------------- determinism
 
 def test_reruns_and_thread_counts_are_byte_identical():
-    cfg = dict(kind="phase", n_grid=(8,), r_grid=(1,), m_grid=(40, 64),
-               model="random_orth", trials=5, seed=11)
-    a = rows_to_csv(run_phase(ExperimentConfig(**cfg)))
-    b = rows_to_csv(run_phase(ExperimentConfig(**cfg)))
-    c = rows_to_csv(run_phase(ExperimentConfig(**cfg, threads=2)))
-    assert a == b == c
+    for name, cfg in KIND_CONFIGS.items():
+        a = rows_to_csv(run(ExperimentConfig(**cfg)))
+        b = rows_to_csv(run(ExperimentConfig(**cfg)))
+        c = rows_to_csv(run(ExperimentConfig(**cfg, threads=2)))
+        assert a == b == c, name
+        if name != "phase":
+            assert a == (GOLDEN_DIR / (name + ".csv")).read_text(), name
 
 
 def test_phase_and_certificate_runs_share_instances():
@@ -172,8 +194,8 @@ def test_phase_and_certificate_runs_share_instances():
     # visible through identical incoherence summaries
     base = dict(n_grid=(12,), r_grid=(2,), m_grid=(100,),
                 model="random_orth", trials=6, seed=13)
-    ph = run_phase(ExperimentConfig(kind="phase", **base))[0]
-    ce = run_certificate(ExperimentConfig(kind="cert", cert_method="cg", **base))[0]
+    ph = run(ExperimentConfig(kind="phase", **base))[0]
+    ce = run(ExperimentConfig(kind="cert", cert_method="cg", **base))[0]
     assert ph.mean_mu0 == ce.mean_mu0
     assert ph.mean_mu1 == ce.mean_mu1
     assert ph.mean_mu2 == ce.mean_mu2
@@ -182,7 +204,7 @@ def test_phase_and_certificate_runs_share_instances():
 # ------------------------------------------------------------- run kinds
 
 def test_phase_full_sampling_always_recovers():
-    row = run_phase(_phase_cfg(m_grid=(64,)))[0]
+    row = run(_phase_cfg(m_grid=(64,)))[0]
     assert row.p == 1.0
     assert row.successes == row.trials and row.success_rate == 1.0
     assert row.mean_relerr <= 1e-6
@@ -192,29 +214,29 @@ def test_phase_full_sampling_always_recovers():
 
 
 def test_phase_success_grows_with_sampling():
-    rows = run_phase(_phase_cfg(n_grid=(10,), m_grid=(25, 100), trials=8))
+    rows = run(_phase_cfg(n_grid=(10,), m_grid=(25, 100), trials=8))
     assert rows[0].m == 25 and rows[1].m == 100
     assert rows[0].success_rate <= rows[1].success_rate
     assert rows[1].success_rate == 1.0
 
 
 def test_certificate_rows_carry_spectral_fields():
-    row = run_certificate(ExperimentConfig(
+    row = run(ExperimentConfig(
         kind="cert", n_grid=(16,), r_grid=(1,), m_grid=(220,),
         model="random_orth", trials=5, seed=17, cert_method="cg"))[0]
     assert 0.0 < row.mean_a_stat < 1.0
     assert row.mean_ptperp >= 0.0
     assert row.successes >= 4  # dense sampling certifies essentially always
     with pytest.raises(InvalidParameterError):
-        run_certificate(ExperimentConfig(kind="cert", n_grid=(8,), r_grid=(1,),
-                                         m_grid=(30,), cert_method="qr"))
+        run(ExperimentConfig(kind="cert", n_grid=(8,), r_grid=(1,),
+                             m_grid=(30,), cert_method="qr"))
 
 
 def test_lower_bound_row_algebra():
     cfg = ExperimentConfig(kind="lower", n_grid=(16,), r_grid=(2,),
                            mu0_grid=(2.0,), p_grid=(0.3,), trials=200, seed=19,
                            model="block")
-    row = run_lower_bound(cfg)[0]
+    row = run(cfg)[0]
     assert row.ell == 4  # n / (mu0 * r)
     assert row.pi1 == (1 - 0.3) ** 4
     assert row.pi0 == (1 - 0.3) ** 16
@@ -222,17 +244,17 @@ def test_lower_bound_row_algebra():
     assert abs(row.prob_empirical - (1.0 - row.success_rate)) < 1e-12
     assert row.below_m_star == int(row.m < row.m_star)
     with pytest.raises(InvalidParameterError):
-        run_lower_bound(ExperimentConfig(kind="lower", n_grid=(16,), r_grid=(2,),
-                                         p_grid=(), trials=5))
+        run(ExperimentConfig(kind="lower", n_grid=(16,), r_grid=(2,),
+                             p_grid=(), trials=5))
     with pytest.raises(InvalidParameterError):
-        run_lower_bound(ExperimentConfig(kind="lower", n_grid=(16,), r_grid=(2,),
-                                         p_grid=(1.5,), trials=5))
+        run(ExperimentConfig(kind="lower", n_grid=(16,), r_grid=(2,),
+                             p_grid=(1.5,), trials=5))
 
 
 def test_model_equiv_rates_and_pooled_se():
     cfg = ExperimentConfig(kind="equiv", n_grid=(10,), r_grid=(1,),
                            m_grid=(80,), model="random_orth", trials=10, seed=23)
-    row = run_model_equiv(cfg)[0]
+    row = run(cfg)[0]
     assert row.p_ber == 80 / 100.0
     se = np.sqrt(row.fail_unif * (1 - row.fail_unif) / 10
                  + 4 * row.fail_ber * (1 - row.fail_ber) / 10)
@@ -241,7 +263,7 @@ def test_model_equiv_rates_and_pooled_se():
     cfg2 = ExperimentConfig(kind="equiv", n_grid=(10,), r_grid=(1,),
                             m_grid=(80,), model="random_orth", trials=10,
                             seed=23, equiv_p="2m")
-    row2 = run_model_equiv(cfg2)[0]
+    row2 = run(cfg2)[0]
     assert row2.p_ber == 1.0  # 2m/n^2 capped at one
 
 
@@ -249,7 +271,7 @@ def test_moments_cells_and_closed_form_column():
     cfg = ExperimentConfig(kind="moments", n_grid=(12,), r_grid=(1,),
                            p_grid=(0.5,), j_grid=(1,), k_grid=(0, 1),
                            model="random_orth", trials=20, seed=29)
-    rows = run_moments(cfg)
+    rows = run(cfg)
     assert [row.k for row in rows] == [0, 1]
     assert rows[0].moment_closed == (1 - 0.5) * 1 / 0.5
     assert rows[1].moment_closed is None
@@ -257,11 +279,11 @@ def test_moments_cells_and_closed_form_column():
     assert all(row.moment_bound_poly > 0.0 for row in rows)
     assert all(row.m == round(0.5 * 144) for row in rows)
     with pytest.raises(InvalidParameterError):
-        run_moments(ExperimentConfig(kind="moments", n_grid=(12,), r_grid=(1,),
-                                     p_grid=(0.5,), trials=1))
+        run(ExperimentConfig(kind="moments", n_grid=(12,), r_grid=(1,),
+                             p_grid=(0.5,), trials=1))
     with pytest.raises(InvalidParameterError):
-        run_moments(ExperimentConfig(kind="moments", n_grid=(12,), r_grid=(1,),
-                                     p_grid=(), trials=5))
+        run(ExperimentConfig(kind="moments", n_grid=(12,), r_grid=(1,),
+                             p_grid=(), trials=5))
 
 
 def test_run_dispatches_on_kind():
@@ -287,7 +309,7 @@ def test_threshold_scaling_tracks_n_log_n():
         cfg = ExperimentConfig(kind="phase", n_grid=(n,), r_grid=(r,),
                                m_grid=tuple(grid), model="random_orth",
                                trials=12, seed=47)
-        rows = run_phase(cfg)
+        rows = run(cfg)
         m50 = None
         for row in rows:
             if row.success_rate >= 0.5:
