@@ -26,6 +26,13 @@ Gram matrix: in the orthonormal coordinates of ``TangentSpace.features``,
 G = sum over Omega of phi phi^T is P_T P_Omega P_T on T, so one symmetric
 eigendecomposition of this (2nr - r^2)-square matrix gives
 a = max |lam / p - 1| and lam_min = min lam.
+
+decide() answers the question the certificate stands for -- is the
+planted matrix the unique nuclear-norm minimizer? -- from one
+eigendecomposition of the same matrix, with no a < 1 gate: it certifies
+with the minimum-norm certificate and refutes with a null direction of
+the sampling operator or a dual witness, and says "undecided" when none
+of these settles it.
 """
 
 from __future__ import annotations
@@ -53,12 +60,16 @@ TANGENT_TRANSFER_SIGMA0 = 1.0 / 576.0
 _MAX_CHAIN_LEN = 8
 
 
-def _check_pair(T: TangentSpace, S: SampleSet):
+def _check_grid(T: TangentSpace, S: SampleSet):
     if S.n1 != T.n or S.n2 != T.n:
         raise InvalidParameterError(
             "sample grid (%d, %d) does not match tangent space n=%d"
             % (S.n1, S.n2, T.n)
         )
+
+
+def _check_pair(T: TangentSpace, S: SampleSet):
+    _check_grid(T, S)
     if S.size == 0:
         raise InvalidParameterError("sample set is empty")
 
@@ -243,6 +254,105 @@ def verify_certificate(T: TangentSpace, S: SampleSet,
         and rep.a_stat < 1.0
         and rep.injective
     )
+
+
+# Tangent Gram eigenvalues at or below _NULL_TOL count as zero.  G has
+# norm at most 1, so eigh's absolute error is about dim * eps, under 1e-12
+# for every dim T up to a few thousand; above the floor, G^{-1} maps a
+# vector of the range of phi to one at most 1 / sqrt(_NULL_TOL) = 1e4
+# times longer.
+_NULL_TOL = 1e-8
+# A lower bound refutes only when it exceeds 1 by _REFUTE_MARGIN.  Each
+# bound is a closed form in inner products and one SVD of quantities at
+# most 1e4 in size (see _NULL_TOL), so its rounding error is about
+# dim * eps * 1e4, below 1e-8 at the same dims.
+_REFUTE_MARGIN = 1e-6
+
+
+@dataclass
+class Decision:
+    """Whether the planted matrix is the unique nuclear-norm minimizer.
+
+    verdict is "certified" (it is), "refuted" (it is not even a
+    minimizer) or "undecided"; reason names the step that settled it:
+    "null", "min_norm" or "witness".  upper and lower bracket the least
+    ||P_Tperp Y|| over all certificates Y (Omega-supported, P_T Y = E):
+    upper is the minimum-norm certificate's (inf when P_Omega is not
+    injective on T), lower is proved by the null direction or the dual
+    witness (0 when no step needed one).  lam_min is the smallest
+    eigenvalue of the tangent Gram matrix.
+    """
+
+    verdict: str
+    reason: str
+    upper: float
+    lower: float
+    lam_min: float
+
+
+def decide(T: TangentSpace, S: SampleSet) -> Decision:
+    """Decide whether M is the unique minimizer of the nuclear norm over
+    the matrices that agree with it on Omega, by three cheap exits that
+    share one eigendecomposition of G = phi^T phi, phi = T.features(Omega).
+
+    M is a minimizer iff some Omega-supported Y has P_T Y = E and
+    ||P_Tperp Y|| <= 1, and the unique one if some such Y has norm < 1 and
+    G is nonsingular.  In feature coordinates E is e_T = [V.ravel(); 0].
+
+    1. Null direction: some eigenvalues of G are <= _NULL_TOL (always so
+       when |Omega| < dim T).  With h the part of e_T in their span, the
+       H in T with coordinates h has <E, H> = |h|^2 and P_Omega H = phi h,
+       which vanishes when G is singular: M - tH is then feasible with a
+       smaller nuclear norm for small t > 0.  Quantitatively, every
+       certificate has |Y|_F >= <Y, H> / |P_Omega H|_F = |h|^2 / |phi h|
+       and |Y|_F^2 = r + |P_Tperp Y|_F^2 <= r + (n - r) ||P_Tperp Y||^2,
+       which bounds ||P_Tperp Y|| from below.  Refuted when that bound
+       clears 1, undecided otherwise.
+    2. Minimum-norm certificate: Y0 = phi G^{-1} e_T on Omega has
+       P_T Y0 = E, so upper = ||Y0 - E||; certified when upper < 1.
+    3. Dual witness: Z = u1 v1^T of Y0 - E with its Omega entries replaced
+       by their projection phi w onto range(phi), so that <Z, D> = 0 for
+       every Omega-supported D with P_T D = 0.  Every certificate then has
+       <Z, Y - E> = w . e_T - <Z, E>, and lower is that over ||Z||_*.
+       Refuted when lower clears 1, undecided otherwise.
+
+    Unlike the certificate builders this accepts an empty Omega (refuted:
+    the zero matrix is feasible).
+    """
+    _check_grid(T, S)
+    n, r = T.n, T.r
+    phi = T.features(S.rows, S.cols)
+    lam, Q = np.linalg.eigh(phi.T @ phi)
+    lam_min = float(lam[0])
+    e_t = np.zeros(T.dim)
+    e_t[:n * r] = T.V.ravel()
+
+    null = lam <= _NULL_TOL
+    if null.any():
+        h = Q[:, null] @ (Q[:, null].T @ e_t)
+        hh = float(h @ h)
+        ph = float(np.linalg.norm(phi @ h))
+        bound_sq = hh * hh / (ph * ph) if ph > 0.0 else (np.inf if hh > 0.0 else 0.0)
+        lower = float(np.sqrt(max(bound_sq - r, 0.0) / max(n - r, 1)))
+        verdict = "refuted" if lower > 1.0 + _REFUTE_MARGIN else "undecided"
+        return Decision(verdict, "null", np.inf, lower, lam_min)
+
+    def solve(x):
+        return Q @ ((Q.T @ x) / lam)
+
+    R = -T.e
+    R[S.rows, S.cols] += phi @ solve(e_t)
+    u, s, vt = np.linalg.svd(R)
+    upper = float(s[0])
+    if upper < 1.0:
+        return Decision("certified", "min_norm", upper, 0.0, lam_min)
+
+    Z = np.outer(u[:, 0], vt[0])
+    w = solve(phi.T @ Z[S.rows, S.cols])
+    Z[S.rows, S.cols] = phi @ w
+    lower = (float(w @ e_t) - float(np.sum(Z * T.e))) / float(np.linalg.norm(Z, "nuc"))
+    verdict = "refuted" if lower > 1.0 + _REFUTE_MARGIN else "undecided"
+    return Decision(verdict, "witness", upper, lower, lam_min)
 
 
 @dataclass

@@ -87,7 +87,7 @@ class TangentSpace:
         phi = np.zeros((m, self.dim))
         phi[np.arange(m)[:, None], cols[:, None] * r + np.arange(r)] = self.U[rows]
         phi[:, n * r:] = (u_perp[rows][:, :, None]
-                          * self.V[cols][:, None, :]).reshape(m, -1)
+                          * self.V[cols][:, None, :]).reshape(m, self.dim - n * r)
         return phi
 
     def apply_pt(self, X) -> np.ndarray:

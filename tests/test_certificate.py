@@ -1,6 +1,6 @@
 """Dual-certificate machinery: deviation statistic, the two builders and
-their agreement, verification, operator-word coefficients, chain norms,
-and trace moments."""
+their agreement, verification, the exact decision, operator-word
+coefficients, chain norms, and trace moments."""
 
 import math
 
@@ -12,6 +12,7 @@ from mclab.certificate import (
     build_certificate_cg,
     build_certificate_neumann,
     check_pt_expansion,
+    decide,
     deviation_stat,
     estimate_trace_moment,
     neumann_coeffs,
@@ -233,6 +234,88 @@ def test_superset_never_decertifies():
         v2 = verify_certificate(
             T, S2, try_build_certificate(T, S2, method="cg"))
         assert not (v1 and not v2)
+
+
+# ---------------------------------------------------------------- decision
+
+def test_decide_certifies_whenever_verify_passes():
+    passed = 0
+    for seed in range(10):
+        for n, r, p in ((12, 1, 0.5), (14, 2, 0.6), (16, 2, 0.75)):
+            T, S = _instance(n, r, p, seed)
+            d = decide(T, S)
+            for method in ("neumann", "cg"):
+                rep = try_build_certificate(T, S, method=method)
+                if verify_certificate(T, S, rep):
+                    passed += 1
+                    assert (d.verdict, d.reason) == ("certified", "min_norm")
+                    assert d.lam_min == pytest.approx(rep.lam_min, abs=1e-12)
+                    if method == "cg":
+                        # the CG certificate is the minimum-norm one
+                        assert abs(d.upper - rep.ptperp_norm) <= 1e-8
+    assert passed >= 10
+
+
+def test_decide_refutes_an_empty_row_with_a_cheaper_feasible_point():
+    n, r = 10, 2
+    gt = gen_random_orthogonal(n, r, Rng(3, 0))
+    T = gt.tangent_space()
+    full = _full(n)
+    keep = full.rows != 0
+    S = SampleSet(n1=n, n2=n, rows=full.rows[keep], cols=full.cols[keep],
+                  model="bernoulli", p=0.9, m_nominal=int(keep.sum()))
+    d = decide(T, S)
+    assert (d.verdict, d.reason) == ("refuted", "null")
+    assert d.upper == math.inf and d.lower > 1.0 and d.lam_min <= 1e-12
+    # H = e_0 (V b)^T with b = U[0] lies in T, vanishes on Omega and has
+    # <E, H> = |U[0]|^2 > 0, so M - tH agrees with M on Omega and has a
+    # smaller nuclear norm
+    H = np.zeros((n, n))
+    H[0] = T.V @ T.U[0]
+    np.testing.assert_allclose(T.apply_pt(H), H, atol=1e-12)
+    assert np.sum(T.e * H) == pytest.approx(T.U[0] @ T.U[0])
+    X = gt.M - 1e-2 * H
+    assert np.array_equal(project_omega(X, S), project_omega(gt.M, S))
+    assert np.linalg.norm(X, "nuc") < np.linalg.norm(gt.M, "nuc") - 1e-4
+    # with nothing observed the zero matrix is feasible
+    empty = SampleSet(n1=n, n2=n, rows=np.zeros(0, int), cols=np.zeros(0, int),
+                      model="bernoulli", p=0.5, m_nominal=0)
+    d = decide(T, empty)
+    assert (d.verdict, d.reason, d.lower) == ("refuted", "null", math.inf)
+
+
+def test_decide_witness_is_orthogonal_to_every_free_direction():
+    n = 12
+    T, S = _instance(n, 1, 0.3, 1)
+    d = decide(T, S)
+    assert (d.verdict, d.reason) == ("refuted", "witness")
+    assert d.lower > 1.0
+    # reference route by least squares: E's coordinates from the features
+    # of every entry, the minimum-norm certificate, and the witness Z with
+    # its Omega entries projected onto the range of phi
+    everything = _full(n)
+    e_t = T.features(everything.rows, everything.cols).T @ T.e.ravel()
+    phi = T.features(S.rows, S.cols)
+    Y0 = np.zeros((n, n))
+    Y0[S.rows, S.cols] = np.linalg.lstsq(phi.T, e_t, rcond=None)[0]
+    R = Y0 - T.e
+    u, s, vt = np.linalg.svd(R)
+    assert abs(d.upper - s[0]) <= 1e-10
+    Z = np.outer(u[:, 0], vt[0])
+    z = Z[S.rows, S.cols]
+    Z[S.rows, S.cols] = phi @ np.linalg.lstsq(phi, z, rcond=None)[0]
+    lower = np.sum(Z * R) / np.linalg.norm(Z, "nuc")
+    assert abs(d.lower - lower) <= 1e-10
+    gen = np.random.default_rng(4)
+    for _ in range(20):
+        g = gen.standard_normal(S.size)
+        D = np.zeros((n, n))
+        D[S.rows, S.cols] = g - phi @ np.linalg.lstsq(phi, g, rcond=None)[0]
+        np.testing.assert_allclose(T.apply_pt(D), 0.0, atol=1e-12)
+        assert abs(np.sum(Z * D)) <= 1e-10 * np.linalg.norm(D)
+        # every certificate Y0 + tD stays at least lower away from E
+        for t in (0.1, 1.0, 10.0):
+            assert np.linalg.norm(R + t * D, 2) >= d.lower - 1e-10
 
 
 # ------------------------------------------------------------ chain norms

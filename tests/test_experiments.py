@@ -1,15 +1,18 @@
 """Experiment drivers: config parsing, the frozen CSV schema, determinism,
 and per-kind row semantics."""
 
+import dataclasses
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mclab.experiments as experiments
 from mclab.errors import InvalidParameterError
 from mclab.experiments import (
     FIELDS,
+    MODELS,
     ExperimentConfig,
     apply_overrides,
     emit,
@@ -265,6 +268,61 @@ def test_model_equiv_rates_and_pooled_se():
                             seed=23, equiv_p="2m")
     row2 = run(cfg2)[0]
     assert row2.p_ber == 1.0  # 2m/n^2 capped at one
+
+
+def _equiv_both_ways(monkeypatch, cfg):
+    """CSV of run(cfg) as it is and with SVT run on every side, and the
+    (decide verdict, SVT recovered) pair of each side of the second run."""
+    fast = rows_to_csv(run(cfg))
+    verdicts, outcomes = [], []
+    decide, recovered = experiments.decide, experiments.recovered
+
+    def keep_solving(T, S):
+        d = decide(T, S)
+        verdicts.append(d.verdict)
+        return dataclasses.replace(d, verdict="undecided")
+
+    def record(*args, **kw):
+        out = recovered(*args, **kw)
+        outcomes.append(out[0])
+        return out
+
+    with monkeypatch.context() as patch:
+        patch.setattr(experiments, "decide", keep_solving)
+        patch.setattr(experiments, "recovered", record)
+        full = rows_to_csv(run(cfg))
+    assert len(verdicts) == len(outcomes) == 2 * cfg.trials * len(cfg.m_grid)
+    return fast, full, list(zip(verdicts, outcomes))
+
+
+def test_equiv_skips_svt_only_where_it_fails(monkeypatch):
+    # equiv counts a side that decide refutes as failed without solving
+    # it; on small cells of every model, with both Bernoulli rates, SVT
+    # fails each such side too, so the rows are the same either way
+    refuted = 0
+    for model in MODELS:
+        for r in (1, 2):
+            dim = 2 * 8 * r - r * r
+            cfg = ExperimentConfig(kind="equiv", model=model, n_grid=(8,),
+                                   r_grid=(r,), m_grid=(dim + 2, 2 * dim),
+                                   trials=3, seed=61,
+                                   equiv_p="m" if r == 1 else "2m")
+            fast, full, sides = _equiv_both_ways(monkeypatch, cfg)
+            assert fast == full, (model, r)
+            assert ("refuted", True) not in sides, (model, r)
+            refuted += sum(v == "refuted" for v, _ in sides)
+    assert refuted >= 30
+
+
+@pytest.mark.slow
+def test_equiv_skips_svt_only_where_it_fails_on_check_07(monkeypatch):
+    # all 400 trials of acceptance check 07's cell, both ways
+    cfg = ExperimentConfig(kind="equiv", n_grid=(32,), r_grid=(1,),
+                           m_grid=(194,), model="random_orth", trials=400,
+                           seed=41, equiv_p="2m")
+    fast, full, sides = _equiv_both_ways(monkeypatch, cfg)
+    assert fast == full
+    assert ("refuted", True) not in sides
 
 
 def test_moments_cells_and_closed_form_column():
