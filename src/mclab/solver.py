@@ -18,18 +18,24 @@ small nuclear norm, which is exactly what the phase experiments measure.
 The threshold step never forms a full SVD: only the singular triplets
 above tau survive it, so it takes one eigendecomposition of the Gram
 matrix Y^T Y restricted to eigenvalues above tau^2 (sigma > tau) and
-rebuilds the shrunk iterate from those right singular vectors.
+rebuilds the shrunk iterate from those right singular vectors.  The
+eigendecomposition is a direct LAPACK ``dsyevr`` call, its workspace
+queried once per size; the loop forms the residual in one preallocated
+buffer, so an iteration costs little more than that call.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, NumericFailureError
 from .sampling import SampleSet, project_omega
+
+_syevr, _syevr_lwork = scipy.linalg.get_lapack_funcs(("syevr", "syevr_lwork"))
 
 
 @dataclass
@@ -65,6 +71,20 @@ class SolveResult:
     halvings: int
 
 
+@functools.cache
+def _syevr_workspace(n: int) -> tuple[int, int]:
+    """Optimal (lwork, liwork) of ``dsyevr`` at order n, lower triangle.
+
+    These are the sizes scipy's ``eigh`` wrapper asks for.  The workspace
+    size picks the blocked or unblocked tridiagonal reduction, so other
+    sizes would change the bits of the result.
+    """
+    work, iwork, info = _syevr_lwork(n, lower=1)
+    if info != 0:
+        raise NumericFailureError("dsyevr workspace query failed (info=%d)" % info)
+    return int(work), int(iwork)
+
+
 def _threshold(Y, tau: float, rank_cap: int | None):
     """Soft-threshold the singular values of Y by tau, keeping at most
     rank_cap of them; returns the result and the shrunk singular values
@@ -74,10 +94,25 @@ def _threshold(Y, tau: float, rank_cap: int | None):
     restricted to eigenvalues above tau^2, i.e. to sigma > tau: with V the
     right singular vectors of the kept sigma, the result is
     (Y V) diag((sigma - tau) / sigma) V^T = U diag(sigma - tau) V^T.
+    It is a direct ``dsyevr`` call (workspace queried once per size) with
+    the arguments scipy's ``eigh(G, subset_by_value=(tau^2, inf),
+    driver="evr")`` passes, so the output is bit-for-bit that route's.
     """
-    lam, V = scipy.linalg.eigh(Y.T @ Y, subset_by_value=(tau * tau, np.inf),
-                               driver="evr")
-    lam, V = lam[::-1], V[:, ::-1]
+    n = Y.shape[1]
+    if n == 0:  # dsyevr refuses order 0
+        return np.zeros(Y.shape), np.zeros(0)
+    vl = tau * tau
+    if not vl < np.inf:
+        raise InvalidParameterError("tau must be finite, got %r" % tau)
+    G = Y.T @ Y
+    if not np.isfinite(G).all():
+        raise InvalidParameterError("cannot threshold a matrix with non-finite entries")
+    lwork, liwork = _syevr_workspace(n)
+    w, V, k, _, info = _syevr(G, compute_v=1, range="V", lower=1, vl=vl, vu=np.inf,
+                              lwork=lwork, liwork=liwork)
+    if info != 0:
+        raise NumericFailureError("dsyevr failed (info=%d)" % info)
+    lam, V = w[:k][::-1], V[:, :k][:, ::-1]
     if rank_cap is not None:
         lam, V = lam[:rank_cap], V[:, :rank_cap]
     sigma = np.sqrt(lam)
@@ -95,7 +130,8 @@ def shrink(X, tau: float) -> np.ndarray:
 
 def complete(S: SampleSet, observed, params: SolverParams | None = None) -> SolveResult:
     """Minimize the nuclear norm subject to agreeing with ``observed`` on
-    the sample set.  Entries of ``observed`` off the sample set are ignored.
+    the sample set.  Entries of ``observed`` off the sample set are ignored;
+    a non-finite entry on it raises ``InvalidParameterError``.
     """
     if params is None:
         params = SolverParams()
@@ -116,6 +152,8 @@ def complete(S: SampleSet, observed, params: SolverParams | None = None) -> Solv
                            nuclear_value=0.0, converged=True, halvings=0)
 
     m_obs = project_omega(observed, S)
+    if not np.isfinite(m_obs).all():
+        raise InvalidParameterError("observed entries on the sample set must be finite")
     obs_scale = float(np.linalg.norm(m_obs))
     if obs_scale == 0.0:
         return SolveResult(Xhat=np.zeros((S.n1, S.n2)), iters=0, feas_resid=0.0,
@@ -134,6 +172,7 @@ def complete(S: SampleSet, observed, params: SolverParams | None = None) -> Solv
     Y = k0 * delta * m_obs
 
     X = np.zeros((S.n1, S.n2))
+    resid = np.empty_like(m_obs)
     nuc_prev = None
     nuc = 0.0
     feas = np.inf
@@ -146,12 +185,14 @@ def complete(S: SampleSet, observed, params: SolverParams | None = None) -> Solv
     for iters in range(1, params.max_iter + 1):
         X, s = _threshold(Y, tau, params.rank_cap)
         nuc = float(np.sum(s))
-        resid = project_omega(X, S) - m_obs
+        # P_Omega(X) - m_obs, in place: m_obs is zero off Omega
+        np.subtract(X, m_obs, out=resid)
+        resid *= S.mask
         feas = float(np.linalg.norm(resid))
         exploded = not np.isfinite(feas) or feas > 1e12 * (obs_scale + 1.0)
         if feas < best_feas * (1.0 - 1e-3):
             best_feas = feas
-            best_Y = Y.copy()
+            np.copyto(best_Y, Y)
             stall = 0
         else:
             stall += 1
@@ -162,14 +203,15 @@ def complete(S: SampleSet, observed, params: SolverParams | None = None) -> Solv
             halvings += 1
             stall = 0
             nuc_prev = None
-            Y = best_Y.copy()
+            np.copyto(Y, best_Y)
             continue
         obj_ok = nuc_prev is not None and abs(nuc - nuc_prev) <= params.tol_obj * max(1.0, nuc)
         if feas <= params.tol_feas * obs_scale and obj_ok:
             converged = True
             break
         nuc_prev = nuc
-        Y -= delta * resid
+        resid *= delta
+        Y -= resid
     return SolveResult(Xhat=X, iters=iters, feas_resid=feas,
                        nuclear_value=nuc, converged=converged, halvings=halvings)
 

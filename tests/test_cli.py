@@ -153,6 +153,21 @@ def test_solve_missing_inputs_exit_1(tmp_path):
                  str(tmp_path / "b"), "--out", str(tmp_path / "c")]) == 1
 
 
+def test_solve_non_finite_observed_entry_exit_1(tmp_path, capsys):
+    S = sample_bernoulli(8, 0.6, Rng(42, 1))
+    samples = tmp_path / "omega.txt"
+    samples.write_text(sampleset_to_text(S))
+    obs = np.where(S.mask, 1.0, 0.0)
+    obs[S.rows[0], S.cols[0]] = np.nan
+    observed = tmp_path / "observed.txt"
+    observed.write_text(
+        "\n".join(" ".join(repr(float(v)) for v in row) for row in obs) + "\n")
+    rc = main(["solve", "--samples", str(samples), "--observed", str(observed),
+               "--out", str(tmp_path / "xhat.txt")])
+    assert rc == 1
+    assert "error:" in capsys.readouterr().err
+
+
 def test_unknown_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

@@ -2,12 +2,13 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from mclab.errors import InvalidParameterError
 from mclab.linalg import Rng
 from mclab.models import block_model_spec, gen_lower_bound_block, gen_random_orthogonal
-from mclab.sampling import SampleSet, sample_bernoulli, sample_uniform
-from mclab.solver import SolverParams, _threshold, complete, recovered, shrink
+from mclab.sampling import SampleSet, project_omega, sample_bernoulli, sample_uniform
+from mclab.solver import SolveResult, SolverParams, _threshold, complete, recovered, shrink
 
 
 def _svd_shrink(X, tau, rank_cap=None):
@@ -34,6 +35,61 @@ _KERNEL_INPUTS = {
     "rank_deficient": _with_spectrum(10, 10, [4.0, 2.5, 1.5], 12),
     "repeated": _with_spectrum(9, 8, [3.0, 3.0, 3.0, 1.0, 1.0, 0.5], 13),
 }
+
+
+def _eigh_threshold(Y, tau, rank_cap):
+    # the threshold step through scipy's eigh wrapper, the route the
+    # direct dsyevr call replaces
+    lam, V = scipy.linalg.eigh(Y.T @ Y, subset_by_value=(tau * tau, np.inf),
+                               driver="evr")
+    lam, V = lam[::-1], V[:, ::-1]
+    if rank_cap is not None:
+        lam, V = lam[:rank_cap], V[:, :rank_cap]
+    sigma = np.sqrt(lam)
+    s = np.maximum(sigma - tau, 0.0)
+    return ((Y @ V) * (s / sigma)) @ V.T, s
+
+
+def _reference_complete(S, observed, params):
+    # the completion loop as it was before the in-place residual: eigh
+    # threshold, project_omega on every iteration, fresh copies of the
+    # best dual iterate
+    m_obs = project_omega(observed, S)
+    obs_scale = float(np.linalg.norm(m_obs))
+    n = max(S.n1, S.n2)
+    tau = 5.0 * n * float(np.mean(np.abs(m_obs[S.mask])))
+    delta = params.step / S.p
+    top = float(np.linalg.svd(m_obs, compute_uv=False)[0])
+    Y = int(np.ceil(tau / (delta * top))) * delta * m_obs
+    nuc_prev, converged = None, False
+    best_feas, best_Y, stall, halvings = np.inf, Y.copy(), 0, 0
+    for iters in range(1, params.max_iter + 1):
+        X, s = _eigh_threshold(Y, tau, params.rank_cap)
+        nuc = float(np.sum(s))
+        resid = project_omega(X, S) - m_obs
+        feas = float(np.linalg.norm(resid))
+        exploded = not np.isfinite(feas) or feas > 1e12 * (obs_scale + 1.0)
+        if feas < best_feas * (1.0 - 1e-3):
+            best_feas, best_Y, stall = feas, Y.copy(), 0
+        else:
+            stall += 1
+        if exploded or stall >= 100:
+            if halvings >= 6:
+                break
+            delta *= 0.5
+            halvings += 1
+            stall = 0
+            nuc_prev = None
+            Y = best_Y.copy()
+            continue
+        obj_ok = nuc_prev is not None and abs(nuc - nuc_prev) <= params.tol_obj * max(1.0, nuc)
+        if feas <= params.tol_feas * obs_scale and obj_ok:
+            converged = True
+            break
+        nuc_prev = nuc
+        Y -= delta * resid
+    return SolveResult(Xhat=X, iters=iters, feas_resid=feas, nuclear_value=nuc,
+                       converged=converged, halvings=halvings)
 
 
 def _full(n):
@@ -91,10 +147,36 @@ def test_shrink_past_top_singular_value_is_exactly_zero(name):
 
 
 def test_shrink_refuses_non_finite_input():
-    X = np.ones((5, 4))
-    X[2, 1] = np.nan
-    with pytest.raises(ValueError):
-        shrink(X, 0.5)
+    for bad in (np.nan, np.inf):
+        X = np.ones((5, 4))
+        X[2, 1] = bad
+        with pytest.raises(ValueError):
+            shrink(X, 0.5)
+    for tau in (np.nan, np.inf):
+        with pytest.raises(InvalidParameterError):
+            shrink(np.ones((5, 4)), tau)
+
+
+@pytest.mark.parametrize("shape", [(3, 0), (0, 3), (0, 0)])
+def test_shrink_of_an_empty_matrix_is_empty(shape):
+    # dsyevr refuses order 0, so zero columns never reach it
+    for tau in (0.0, 1.0):
+        out = shrink(np.zeros(shape), tau)
+        assert out.shape == shape
+    out, kept = _threshold(np.zeros(shape), 1.0, None)
+    assert out.shape == shape and kept.shape == (0,)
+
+
+@pytest.mark.parametrize("name", sorted(_KERNEL_INPUTS))
+def test_threshold_is_bit_identical_to_eigh_route(name):
+    X = _KERNEL_INPUTS[name]
+    s = np.linalg.svd(X, compute_uv=False)
+    for tau in (0.0, float(s[1]) * 0.99, float(s[0]) * 2.0):
+        for cap in (None, 1):
+            out, kept = _threshold(X, tau, cap)
+            ref, ref_kept = _eigh_threshold(X, tau, cap)
+            np.testing.assert_array_equal(out, ref)
+            np.testing.assert_array_equal(kept, ref_kept)
 
 
 def test_threshold_applies_rank_cap_and_returns_kept_values():
@@ -164,6 +246,21 @@ def test_complete_ignores_entries_off_the_sample_set():
     res = complete(S, noisy)
     ok, _ = recovered(gt.M, res.Xhat, tol=1e-3)
     assert ok
+
+
+def test_complete_rejects_non_finite_observed_entries():
+    gt = gen_random_orthogonal(10, 1, Rng(25, 0))
+    S = sample_bernoulli(10, 0.6, Rng(25, 1))
+    i, j = S.rows[0], S.cols[0]
+    for bad in (np.nan, np.inf, -np.inf):
+        obs = gt.M.copy()
+        obs[i, j] = bad
+        with pytest.raises(InvalidParameterError):
+            complete(S, obs)
+    # off the sample set a NaN is ignored like any other value
+    obs = gt.M.copy()
+    obs[~S.mask] = np.nan
+    assert np.all(np.isfinite(complete(S, obs, SolverParams(max_iter=5)).Xhat))
 
 
 def test_complete_hits_iteration_cap_without_raising():
@@ -245,6 +342,23 @@ def test_complete_fails_on_starved_block():
     np.testing.assert_allclose(res.Xhat[row_lo:row_hi, :], 0.0, atol=1e-4)
 
 
+@pytest.mark.parametrize("rank_cap", [None, 3], ids=["uncapped", "capped"])
+@pytest.mark.parametrize("n,r,m,seed,converges", [
+    (48, 2, 1614, 7, True),   # check-04 cell: the ascent converges
+    (32, 1, 194, 41, False),  # check-07 cell: it stalls at the cap
+], ids=["check04", "check07"])
+def test_complete_is_bit_identical_to_eigh_route(n, r, m, seed, converges, rank_cap):
+    gt = gen_random_orthogonal(n, r, Rng(seed, 0))
+    S = sample_uniform(n, m, Rng(seed, 1))
+    params = SolverParams(rank_cap=rank_cap)
+    res = complete(S, gt.M, params)
+    ref = _reference_complete(S, gt.M, params)
+    assert res.converged == ref.converged == converges
+    np.testing.assert_array_equal(res.Xhat, ref.Xhat)
+    assert (res.iters, res.feas_resid, res.nuclear_value, res.halvings) == \
+        (ref.iters, ref.feas_resid, ref.nuclear_value, ref.halvings)
+
+
 def test_rank_cap_and_tau_override_apply():
     gt = gen_random_orthogonal(14, 2, Rng(29, 0))
     S = sample_bernoulli(14, 0.8, Rng(29, 1))
@@ -255,7 +369,6 @@ def test_rank_cap_and_tau_override_apply():
     # reaches the iteration
     res2 = complete(S, gt.M, SolverParams(tau=0.0))
     assert res2.converged
-    from mclab.sampling import project_omega
     np.testing.assert_allclose(res2.Xhat, project_omega(gt.M, S), atol=1e-5)
 
 
