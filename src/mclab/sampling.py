@@ -2,7 +2,10 @@
 
 A SampleSet holds the observed index set Omega of an n1 x n2 grid together
 with the sampling model that produced it ("bernoulli" or "uniform") and the
-recorded observation fraction p.  Two linear operators act on matrices:
+recorded observation fraction p.  Its canonical form comes from the boolean
+mask of Omega: the index arrays are read back from the mask, so they are in
+row-major order with duplicates dropped, whatever order they arrived in.
+Two linear operators act on matrices:
 
 * ``project_omega``   -- keep observed entries, zero elsewhere
 * ``q_omega``         -- the rescaled, zero-mean version (1/p) * P_Omega - I,
@@ -25,9 +28,11 @@ class SampleSet:
     """Observed index set with its sampling metadata.
 
     rows/cols are parallel arrays sorted in row-major order with no
-    duplicates.  ``p`` is the Bernoulli rate for the bernoulli model and
-    m / (n1*n2) for the uniform model; ``m_nominal`` is the target count
-    (the realized count is ``size``).
+    duplicates: the given indices are range-checked, scattered into
+    ``mask`` and read back from it with ``np.nonzero``.  ``p`` is the
+    Bernoulli rate for the bernoulli model and m / (n1*n2) for the uniform
+    model; ``m_nominal`` is the target count (the realized count is
+    ``size``).
     """
 
     n1: int
@@ -49,12 +54,11 @@ class SampleSet:
                 raise InvalidParameterError("row index out of range")
             if self.cols.min() < 0 or self.cols.max() >= self.n2:
                 raise InvalidParameterError("column index out of range")
-        lin = self.rows * self.n2 + self.cols
-        lin = np.unique(lin)  # sorts row-major and drops duplicates
-        self.rows = lin // self.n2
-        self.cols = lin % self.n2
+        # the checks above also keep a negative index from wrapping here
         self.mask = np.zeros((self.n1, self.n2), dtype=bool)
         self.mask[self.rows, self.cols] = True
+        # nonzero reads the mask row-major, once per entry: sorted, no duplicates
+        self.rows, self.cols = np.nonzero(self.mask)
 
     @property
     def size(self) -> int:

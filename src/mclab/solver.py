@@ -45,9 +45,10 @@ class SolverParams:
     step is the dual step scale (the realized step starts at step / p and
     halves automatically when the residual stalls); tolerances
     are relative (feasibility against ||P_Omega M||_F, objective against the
-    current nuclear value).  rank_cap truncates every shrink to that many
-    components; tau overrides the automatic threshold.  The solver never
-    raises on hitting max_iter; it reports converged=False instead.
+    current nuclear value).  rank_cap (>= 1, or None for no cap) truncates
+    every shrink to that many components; tau (finite, >= 0) overrides the
+    automatic threshold.  The solver never raises on hitting max_iter; it
+    reports converged=False instead.
     """
 
     step: float = 1.2
@@ -139,6 +140,10 @@ def complete(S: SampleSet, observed, params: SolverParams | None = None) -> Solv
         raise InvalidParameterError("max_iter must be >= 1")
     if params.step <= 0:
         raise InvalidParameterError("step must be > 0")
+    if params.tau is not None and not (0.0 <= params.tau < np.inf):
+        raise InvalidParameterError("tau must be finite and >= 0, got %r" % (params.tau,))
+    if params.rank_cap is not None and params.rank_cap < 1:
+        raise InvalidParameterError("rank_cap must be >= 1, got %r" % (params.rank_cap,))
     observed = np.asarray(observed, dtype=float)
     if observed.shape != (S.n1, S.n2):
         raise InvalidParameterError(

@@ -415,6 +415,27 @@ def test_moment_vanishes_at_full_sampling():
     assert est.mean == 0.0
 
 
+@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("j", [1, 2, 3, 4])
+def test_moment_trace_matches_singular_value_sum(j, k):
+    # oracle: replay the same draws and take sum s^(2j) from a full SVD
+    gen = lambda n, r, rng: gen_random_orthogonal(n, r, rng)
+    n, r, p, trials = 12, 2, 0.4, 4
+    rng = Rng(18, j * 10 + k)
+    est = estimate_trace_moment(gen, n, r, p, j, k, trials=trials, rng=rng)
+    T = gen(n, r, rng.substream(0)).tangent_space()
+    vals = []
+    for t in range(trials):
+        S = sample_bernoulli(n, p, rng.substream(t + 1))
+        A = q_omega(T.e, S)
+        for _ in range(k):
+            A = q_omega(T.apply_qt(A), S)
+        vals.append(np.sum(np.linalg.svd(A, compute_uv=False) ** (2 * j)))
+    assert est.mean == pytest.approx(float(np.mean(vals)), rel=1e-12, abs=0.0)
+    assert est.stderr == pytest.approx(
+        float(np.std(vals, ddof=1) / np.sqrt(trials)), rel=1e-9, abs=0.0)
+
+
 def test_moment_closed_form_any_p():
     # k=0, j=1: tr(A^T A) = ||Q_Om E||_F^2 has mean (1-p) r / p
     for p in (0.25, 0.5, 0.8):

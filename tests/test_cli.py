@@ -153,19 +153,33 @@ def test_solve_missing_inputs_exit_1(tmp_path):
                  str(tmp_path / "b"), "--out", str(tmp_path / "c")]) == 1
 
 
-def test_solve_non_finite_observed_entry_exit_1(tmp_path, capsys):
+def _solve_rank_one(tmp_path, extra=(), bad_entry=False) -> int:
+    # `mclab solve` on a rank-one 8x8 instance, optionally with a NaN on Omega
     S = sample_bernoulli(8, 0.6, Rng(42, 1))
     samples = tmp_path / "omega.txt"
     samples.write_text(sampleset_to_text(S))
     obs = np.where(S.mask, 1.0, 0.0)
-    obs[S.rows[0], S.cols[0]] = np.nan
+    if bad_entry:
+        obs[S.rows[0], S.cols[0]] = np.nan
     observed = tmp_path / "observed.txt"
     observed.write_text(
         "\n".join(" ".join(repr(float(v)) for v in row) for row in obs) + "\n")
-    rc = main(["solve", "--samples", str(samples), "--observed", str(observed),
-               "--out", str(tmp_path / "xhat.txt")])
-    assert rc == 1
+    return main(["solve", "--samples", str(samples), "--observed", str(observed),
+                 "--out", str(tmp_path / "xhat.txt"), *extra])
+
+
+def test_solve_non_finite_observed_entry_exit_1(tmp_path, capsys):
+    assert _solve_rank_one(tmp_path, bad_entry=True) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra", [("--tau", "-5"), ("--tau", "nan"), ("--tau", "inf"),
+                                   ("--rank-cap", "0"), ("--rank-cap", "-1")],
+                         ids="=".join)
+def test_solve_invalid_knob_exit_1(tmp_path, capsys, extra):
+    assert _solve_rank_one(tmp_path, extra) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "xhat.txt").exists()
 
 
 def test_unknown_subcommand_is_usage_error():

@@ -38,10 +38,31 @@ def test_sampleset_dedups_and_sorts_row_major():
     assert S.mask.sum() == 3
 
 
+@pytest.mark.parametrize("n1,n2", [(1, 1), (3, 7), (7, 3), (16, 16), (40, 40), (5, 64)])
+def test_sampleset_matches_sorted_unique_linear_index(n1, n2):
+    # oracle: the canonical form is np.unique of the row-major linear index,
+    # split back into rows and columns
+    gen = np.random.default_rng(n1 * 100 + n2)
+    for count in (0, 1, n1 * n2 // 3, 2 * n1 * n2):
+        rows = gen.integers(0, n1, size=count)
+        cols = gen.integers(0, n2, size=count)
+        S = SampleSet(n1=n1, n2=n2, rows=rows, cols=cols, model="uniform",
+                      p=0.5, m_nominal=count)
+        lin = np.unique(rows * n2 + cols)
+        assert S.rows.dtype == S.cols.dtype == np.int64
+        np.testing.assert_array_equal(S.rows, lin // n2)
+        np.testing.assert_array_equal(S.cols, lin % n2)
+        assert S.mask.shape == (n1, n2) and S.mask.sum() == S.size == lin.size
+        assert S.mask[S.rows, S.cols].all()
+
+
 def test_sampleset_rejects_out_of_range():
-    with pytest.raises(InvalidParameterError):
-        SampleSet(n1=2, n2=2, rows=np.array([2]), cols=np.array([0]),
-                  model="uniform", p=0.25, m_nominal=1)
+    # a negative index would otherwise wrap silently into the mask
+    for rows, cols in (([2], [0]), ([0], [3]), ([-1], [0]), ([0], [-1]),
+                       ([1, -2], [0, 1]), ([0, 1], [2, -3])):
+        with pytest.raises(InvalidParameterError):
+            SampleSet(n1=2, n2=3, rows=np.array(rows), cols=np.array(cols),
+                      model="uniform", p=0.25, m_nominal=1)
 
 
 # ------------------------------------------------------ sample_bernoulli

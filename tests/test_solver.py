@@ -238,6 +238,19 @@ def test_complete_validates_inputs():
         complete(S, np.ones((6, 6)), SolverParams(step=0.0))
 
 
+@pytest.mark.parametrize("knobs", [
+    dict(tau=-5.0), dict(tau=-1e-300), dict(tau=np.nan), dict(tau=np.inf),
+    dict(tau=-np.inf), dict(rank_cap=0), dict(rank_cap=-1),
+], ids=repr)
+def test_complete_rejects_invalid_tau_and_rank_cap(knobs):
+    # these used to return Xhat = 0 (tau < 0, rank_cap = 0) or silently drop
+    # the smallest kept component (rank_cap = -1 slices lam[:-1])
+    gt = gen_random_orthogonal(12, 1, Rng(24, 0))
+    S = sample_bernoulli(12, 0.6, Rng(24, 1))
+    with pytest.raises(InvalidParameterError):
+        complete(S, gt.M, SolverParams(**knobs))
+
+
 def test_complete_ignores_entries_off_the_sample_set():
     gt = gen_random_orthogonal(10, 1, Rng(23, 0))
     S = sample_bernoulli(10, 0.8, Rng(23, 1))
