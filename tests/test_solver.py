@@ -243,8 +243,8 @@ def test_complete_validates_inputs():
     dict(tau=-np.inf), dict(rank_cap=0), dict(rank_cap=-1),
 ], ids=repr)
 def test_complete_rejects_invalid_tau_and_rank_cap(knobs):
-    # these used to return Xhat = 0 (tau < 0, rank_cap = 0) or silently drop
-    # the smallest kept component (rank_cap = -1 slices lam[:-1])
+    # unchecked, tau < 0 and rank_cap = 0 give Xhat = 0 without an error,
+    # and rank_cap = -1 drops the smallest kept component (lam[:-1])
     gt = gen_random_orthogonal(12, 1, Rng(24, 0))
     S = sample_bernoulli(12, 0.6, Rng(24, 1))
     with pytest.raises(InvalidParameterError):
