@@ -36,7 +36,8 @@ class Rng:
             ss = np.random.SeedSequence(
                 entropy=self.seed & _MASK64, spawn_key=(self.stream & _MASK64,)
             )
-            self._gen = np.random.default_rng(ss)
+            # what default_rng(ss) builds, without its argument dispatch
+            self._gen = np.random.Generator(np.random.PCG64(ss))
         return self._gen
 
     def substream(self, k: int) -> "Rng":

@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import GenerationFailureError, InvalidParameterError
 from .geometry import TangentSpace, tangent_space
@@ -108,7 +107,10 @@ def hadamard_family(n: int) -> np.ndarray:
     so the flatness statistic n * max entry^2 is exactly 1."""
     if n < 1 or (n & (n - 1)) != 0:
         raise InvalidParameterError("Hadamard family needs n a power of two")
-    return scipy.linalg.hadamard(n).astype(float) / np.sqrt(n)
+    H = np.ones((1, 1))
+    while H.shape[0] < n:  # Sylvester doubling
+        H = np.block([[H, H], [H, -H]])
+    return H / np.sqrt(n)
 
 
 def gen_uniformly_bounded(fam_u, fam_v, r: int, rng: Rng, sigma=None,

@@ -2,10 +2,11 @@
 
 A SampleSet holds the observed index set Omega of an n1 x n2 grid together
 with the sampling model that produced it ("bernoulli" or "uniform") and the
-recorded observation fraction p.  Its canonical form comes from the boolean
-mask of Omega: the index arrays are read back from the mask, so they are in
-row-major order with duplicates dropped, whatever order they arrived in.
-Two linear operators act on matrices:
+recorded observation fraction p.  Its one canonical form is the boolean
+mask of Omega.  The samplers draw the mask directly; the index arrays are
+derived from it on first use, so they are in row-major order with
+duplicates dropped, whatever order the indices of the index constructor
+arrived in.  Two linear operators act on matrices, both through the mask:
 
 * ``project_omega``   -- keep observed entries, zero elsewhere
 * ``q_omega``         -- the rescaled, zero-mean version (1/p) * P_Omega - I,
@@ -15,55 +16,85 @@ Two linear operators act on matrices:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .errors import InvalidParameterError
 from .linalg import Rng
 
 
-@dataclass(eq=False)
 class SampleSet:
     """Observed index set with its sampling metadata.
 
-    rows/cols are parallel arrays sorted in row-major order with no
-    duplicates: the given indices are range-checked, scattered into
-    ``mask`` and read back from it with ``np.nonzero``.  ``p`` is the
-    Bernoulli rate for the bernoulli model and m / (n1*n2) for the uniform
-    model; ``m_nominal`` is the target count (the realized count is
-    ``size``).
+    ``SampleSet(n1=, n2=, rows=, cols=, model=, p=, m_nominal=)`` takes
+    parallel index arrays: they are range-checked and scattered into
+    ``mask``, the canonical form.  ``rows``/``cols`` are read back from the
+    mask with one ``np.nonzero`` on first access and cached: int64, sorted
+    row-major, no duplicates.  ``size`` counts the mask and does not need
+    them.  ``p`` is the Bernoulli rate for the bernoulli model and
+    m / (n1*n2) for the uniform model; ``m_nominal`` is the target count
+    (the realized count is ``size``).
     """
 
-    n1: int
-    n2: int
-    rows: np.ndarray
-    cols: np.ndarray
-    model: str
-    p: float
-    m_nominal: int
-    mask: np.ndarray = field(init=False, repr=False)
+    __slots__ = ("n1", "n2", "model", "p", "m_nominal", "mask", "_index")
 
-    def __post_init__(self):
-        self.rows = np.asarray(self.rows, dtype=np.int64)
-        self.cols = np.asarray(self.cols, dtype=np.int64)
-        if self.rows.shape != self.cols.shape or self.rows.ndim != 1:
+    def __init__(self, n1: int, n2: int, rows, cols, model: str, p: float,
+                 m_nominal: int):
+        rows = np.asarray(rows, dtype=np.int64)
+        cols = np.asarray(cols, dtype=np.int64)
+        if n1 < 0 or n2 < 0:
+            raise InvalidParameterError("grid dimensions must be >= 0")
+        if rows.shape != cols.shape or rows.ndim != 1:
             raise InvalidParameterError("rows/cols must be parallel 1-d arrays")
-        if self.rows.size:
-            if self.rows.min() < 0 or self.rows.max() >= self.n1:
+        if rows.size:
+            if rows.min() < 0 or rows.max() >= n1:
                 raise InvalidParameterError("row index out of range")
-            if self.cols.min() < 0 or self.cols.max() >= self.n2:
+            if cols.min() < 0 or cols.max() >= n2:
                 raise InvalidParameterError("column index out of range")
         # the checks above also keep a negative index from wrapping here
-        self.mask = np.zeros((self.n1, self.n2), dtype=bool)
-        self.mask[self.rows, self.cols] = True
-        # nonzero reads the mask row-major, once per entry: sorted, no duplicates
-        self.rows, self.cols = np.nonzero(self.mask)
+        mask = np.zeros((n1, n2), dtype=bool)
+        mask[rows, cols] = True
+        self._adopt(mask, model, p, m_nominal)
+
+    @classmethod
+    def _of_mask(cls, mask: np.ndarray, model: str, p: float,
+                 m_nominal: int) -> "SampleSet":
+        """Wrap a boolean mask the caller built, as is: no copy, no checks."""
+        S = cls.__new__(cls)
+        S._adopt(mask, model, p, m_nominal)
+        return S
+
+    def _adopt(self, mask, model, p, m_nominal):
+        self.n1, self.n2 = mask.shape
+        self.mask = mask
+        self.model = model
+        self.p = p
+        self.m_nominal = m_nominal
+        self._index = None
+
+    def _indices(self) -> tuple[np.ndarray, np.ndarray]:
+        if self._index is None:
+            # nonzero reads the mask row-major, once per entry
+            self._index = np.nonzero(self.mask)
+        return self._index
+
+    @property
+    def rows(self) -> np.ndarray:
+        """Row index of each observed entry, row-major order."""
+        return self._indices()[0]
+
+    @property
+    def cols(self) -> np.ndarray:
+        """Column index of each observed entry, parallel to ``rows``."""
+        return self._indices()[1]
 
     @property
     def size(self) -> int:
         """Number of observed entries."""
-        return int(self.rows.size)
+        return int(np.count_nonzero(self.mask))
+
+    def __repr__(self) -> str:
+        return "SampleSet(n1=%d, n2=%d, model=%r, p=%r, m_nominal=%d, size=%d)" % (
+            self.n1, self.n2, self.model, self.p, self.m_nominal, self.size)
 
 
 def sample_bernoulli(n1: int, p: float, rng: Rng, n2: int | None = None) -> SampleSet:
@@ -75,11 +106,7 @@ def sample_bernoulli(n1: int, p: float, rng: Rng, n2: int | None = None) -> Samp
     if not (0.0 < p <= 1.0):
         raise InvalidParameterError("p must lie in (0, 1], got %r" % (p,))
     mask = rng.gen.random((n1, n2)) < p
-    rows, cols = np.nonzero(mask)
-    return SampleSet(
-        n1=n1, n2=n2, rows=rows, cols=cols, model="bernoulli",
-        p=float(p), m_nominal=int(round(p * n1 * n2)),
-    )
+    return SampleSet._of_mask(mask, "bernoulli", float(p), int(round(p * n1 * n2)))
 
 
 def sample_uniform(n1: int, m: int, rng: Rng, n2: int | None = None) -> SampleSet:
@@ -92,12 +119,9 @@ def sample_uniform(n1: int, m: int, rng: Rng, n2: int | None = None) -> SampleSe
     if not (0 <= m <= total):
         raise InvalidParameterError("m must lie in [0, %d], got %r" % (total, m))
     lin = rng.gen.choice(total, size=m, replace=False)
-    rows = lin // n2
-    cols = lin % n2
-    return SampleSet(
-        n1=n1, n2=n2, rows=rows, cols=cols, model="uniform",
-        p=m / total, m_nominal=int(m),
-    )
+    mask = np.zeros(total, dtype=bool)
+    mask[lin] = True
+    return SampleSet._of_mask(mask.reshape(n1, n2), "uniform", m / total, int(m))
 
 
 def _check_shape(X, sset: SampleSet) -> np.ndarray:
@@ -135,6 +159,15 @@ def to_text(sset: SampleSet) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _number(kind, text: str, what: str):
+    """kind(text), a text it cannot parse raising InvalidParameterError."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise InvalidParameterError(
+            "%s is not a valid %s: %r" % (what, kind.__name__, text)) from None
+
+
 def from_text(text: str) -> SampleSet:
     """Inverse of to_text."""
     lines = [ln.strip() for ln in text.splitlines()]
@@ -144,20 +177,20 @@ def from_text(text: str) -> SampleSet:
     head = lines[0][1:].split()
     if len(head) != 5:
         raise InvalidParameterError("malformed header: %r" % lines[0])
-    n1, n2 = int(head[0]), int(head[1])
+    n1, n2 = _number(int, head[0], "n1"), _number(int, head[1], "n2")
     model = head[2]
     if model not in ("bernoulli", "uniform"):
         raise InvalidParameterError("unknown sampling model %r" % model)
-    p = float(head[3])
-    m_nominal = int(head[4])
+    p = _number(float, head[3], "p")
+    m_nominal = _number(int, head[4], "m")
     rows = []
     cols = []
     for ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 2:
             raise InvalidParameterError("malformed index line: %r" % ln)
-        rows.append(int(parts[0]))
-        cols.append(int(parts[1]))
+        rows.append(_number(int, parts[0], "row index"))
+        cols.append(_number(int, parts[1], "column index"))
     return SampleSet(
         n1=n1, n2=n2, rows=np.array(rows, dtype=np.int64),
         cols=np.array(cols, dtype=np.int64), model=model, p=p, m_nominal=m_nominal,

@@ -21,7 +21,9 @@ matrix Y^T Y restricted to eigenvalues above tau^2 (sigma > tau) and
 rebuilds the shrunk iterate from those right singular vectors.  The
 eigendecomposition is a direct LAPACK ``dsyevr`` call, its workspace
 queried once per size; the loop forms the residual in one preallocated
-buffer, so an iteration costs little more than that call.
+buffer, so an iteration costs little more than that call.  scipy, which
+supplies that call, is imported by the first threshold step, so runs that
+never solve do not load it.
 """
 
 from __future__ import annotations
@@ -30,12 +32,9 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import InvalidParameterError, NumericFailureError
 from .sampling import SampleSet, project_omega
-
-_syevr, _syevr_lwork = scipy.linalg.get_lapack_funcs(("syevr", "syevr_lwork"))
 
 
 @dataclass
@@ -73,17 +72,22 @@ class SolveResult:
 
 
 @functools.cache
-def _syevr_workspace(n: int) -> tuple[int, int]:
-    """Optimal (lwork, liwork) of ``dsyevr`` at order n, lower triangle.
+def _syevr_workspace(n: int):
+    """LAPACK ``dsyevr`` with its optimal (lwork, liwork) at order n, lower
+    triangle.
 
-    These are the sizes scipy's ``eigh`` wrapper asks for.  The workspace
-    size picks the blocked or unblocked tridiagonal reduction, so other
-    sizes would change the bits of the result.
+    The first call imports scipy.linalg for the LAPACK lookup.  The sizes
+    are the ones scipy's ``eigh`` wrapper asks for.  The workspace size
+    picks the blocked or unblocked tridiagonal reduction, so other sizes
+    would change the bits of the result.
     """
-    work, iwork, info = _syevr_lwork(n, lower=1)
+    import scipy.linalg
+
+    syevr, syevr_lwork = scipy.linalg.get_lapack_funcs(("syevr", "syevr_lwork"))
+    work, iwork, info = syevr_lwork(n, lower=1)
     if info != 0:
         raise NumericFailureError("dsyevr workspace query failed (info=%d)" % info)
-    return int(work), int(iwork)
+    return syevr, int(work), int(iwork)
 
 
 def _threshold(Y, tau: float, rank_cap: int | None):
@@ -108,9 +112,9 @@ def _threshold(Y, tau: float, rank_cap: int | None):
     G = Y.T @ Y
     if not np.isfinite(G).all():
         raise InvalidParameterError("cannot threshold a matrix with non-finite entries")
-    lwork, liwork = _syevr_workspace(n)
-    w, V, k, _, info = _syevr(G, compute_v=1, range="V", lower=1, vl=vl, vu=np.inf,
-                              lwork=lwork, liwork=liwork)
+    syevr, lwork, liwork = _syevr_workspace(n)
+    w, V, k, _, info = syevr(G, compute_v=1, range="V", lower=1, vl=vl, vu=np.inf,
+                             lwork=lwork, liwork=liwork)
     if info != 0:
         raise NumericFailureError("dsyevr failed (info=%d)" % info)
     lam, V = w[:k][::-1], V[:, :k][:, ::-1]
@@ -155,6 +159,9 @@ def complete(S: SampleSet, observed, params: SolverParams | None = None) -> Solv
         # unconstrained: the zero matrix is the exact minimizer
         return SolveResult(Xhat=np.zeros((S.n1, S.n2)), iters=0, feas_resid=0.0,
                            nuclear_value=0.0, converged=True, halvings=0)
+    if not (0.0 < S.p <= 1.0):
+        # the dual step is step / p
+        raise InvalidParameterError("p must lie in (0, 1], got %r" % (S.p,))
 
     m_obs = project_omega(observed, S)
     if not np.isfinite(m_obs).all():

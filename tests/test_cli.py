@@ -182,6 +182,24 @@ def test_solve_invalid_knob_exit_1(tmp_path, capsys, extra):
     assert not (tmp_path / "xhat.txt").exists()
 
 
+@pytest.mark.parametrize("header,entry", [
+    ("# 8 8 bernoulli 0.0 38", "0 0"),  # p = 0 with entries: the step is 1/p
+    ("# 8 8 bernoulli 1.5 38", "0 0"),
+    ("# 8 8 bernoulli abc 38", "0 0"),
+    ("# 8 x bernoulli 0.6 38", "0 0"),
+    ("# 8 8 bernoulli 0.6 38", "0 x"),
+], ids=["p0", "p1.5", "p_abc", "n2_x", "index_x"])
+def test_solve_bad_sample_file_exit_1(tmp_path, capsys, header, entry):
+    samples = tmp_path / "omega.txt"
+    samples.write_text("%s\n%s\n1 2\n" % (header, entry))
+    observed = tmp_path / "observed.txt"
+    observed.write_text("\n".join(" ".join(["1.0"] * 8) for _ in range(8)) + "\n")
+    assert main(["solve", "--samples", str(samples), "--observed", str(observed),
+                 "--out", str(tmp_path / "xhat.txt")]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "xhat.txt").exists()
+
+
 def test_unknown_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

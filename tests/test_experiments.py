@@ -2,6 +2,9 @@
 and per-kind row semantics."""
 
 import dataclasses
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -351,6 +354,34 @@ def test_run_dispatches_on_kind():
                                 mu0_grid=(2.0,), p_grid=(0.5,), trials=20,
                                 seed=5, model="block"))
     assert rows[0].kind == "lower"
+
+
+_IMPORT_PROBE = """
+import sys
+from mclab.experiments import ExperimentConfig, gen_ground_truth, run
+from mclab.linalg import Rng
+for kw in (dict(kind="cert", n_grid=(8,), r_grid=(1,), m_grid=(48,), trials=1),
+           dict(kind="lower", model="block", n_grid=(8,), r_grid=(1,),
+                mu0_grid=(2.0,), p_grid=(0.5,), trials=2),
+           dict(kind="moments", n_grid=(8,), r_grid=(1,), p_grid=(0.5,), trials=2)):
+    run(ExperimentConfig(**kw))
+gen_ground_truth("uniform_bounded", 8, 1, Rng(0), 2.0, 6.0)
+assert "scipy.linalg" not in sys.modules, "loaded before any solve"
+from mclab.sampling import sample_bernoulli
+from mclab.solver import complete
+complete(sample_bernoulli(6, 0.8, Rng(1)), [[1.0] * 6] * 6)
+assert "scipy.linalg" in sys.modules, "the solve did not load it"
+"""
+
+
+def test_only_the_solver_loads_scipy_linalg():
+    # scipy.linalg is the larger part of start-up; cert, lower, moments and
+    # the model generators never call it
+    src = str(Path(experiments.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.slow

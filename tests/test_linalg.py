@@ -26,6 +26,19 @@ def test_rng_reproducible_and_stream_separated():
     assert not np.array_equal(a, d)
 
 
+def test_rng_gen_draws_equal_the_default_rng_route():
+    # Rng.gen builds Generator(PCG64(ss)); default_rng(ss) is the reference
+    for seed, stream in ((0, 0), (7, 3), (31, (5 << 20) + 17), (-1, 2**64 - 1)):
+        ss = np.random.SeedSequence(entropy=seed & (2**64 - 1),
+                                    spawn_key=(stream & (2**64 - 1),))
+        ref = np.random.default_rng(ss)
+        gen = Rng(seed, stream).gen
+        np.testing.assert_array_equal(gen.random((4, 5)), ref.random((4, 5)))
+        np.testing.assert_array_equal(gen.choice(50, size=20, replace=False),
+                                      ref.choice(50, size=20, replace=False))
+        np.testing.assert_array_equal(gen.standard_normal(7), ref.standard_normal(7))
+
+
 def test_rng_substream_distinct_from_parent_and_siblings():
     base = Rng(11, 2)
     s0 = base.substream(0)

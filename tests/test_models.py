@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from mclab.errors import GenerationFailureError, InvalidParameterError
 from mclab.geometry import incoherence
@@ -56,6 +57,16 @@ def test_unif_bounded_hadamard_flatness():
     _check_gt(gt)
     inc = incoherence(gt.tangent_space())
     np.testing.assert_allclose(inc.mu_b, 1.0, rtol=1e-12)
+
+
+def test_hadamard_family_equals_scipy_hadamard():
+    for k in range(9):  # n = 1 ... 256
+        n = 2**k
+        ref = scipy.linalg.hadamard(n) / np.sqrt(n)
+        assert np.array_equal(hadamard_family(n), ref)
+    for n in (0, 3, 12):
+        with pytest.raises(InvalidParameterError):
+            hadamard_family(n)
 
 
 def test_unif_bounded_rejects_sloppy_family():

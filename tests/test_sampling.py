@@ -65,6 +65,54 @@ def test_sampleset_rejects_out_of_range():
                       model="uniform", p=0.25, m_nominal=1)
 
 
+def test_sampleset_rejects_negative_dimensions():
+    with pytest.raises(InvalidParameterError):
+        SampleSet(n1=-1, n2=3, rows=np.zeros(0, int), cols=np.zeros(0, int),
+                  model="uniform", p=0.5, m_nominal=0)
+
+
+def test_sampleset_derives_index_arrays_once():
+    S = sample_bernoulli(9, 0.4, Rng(12, 0), n2=5)
+    assert S.size == int(S.mask.sum())
+    assert S._index is None  # size reads the mask alone
+    rows, cols = S.rows, S.cols
+    assert S.rows is rows and S.cols is cols
+    T = SampleSet(n1=3, n2=3, rows=[2, 0], cols=[1, 2], model="uniform",
+                  p=2 / 9, m_nominal=2)
+    assert T.rows is T.rows and T.cols is T.cols
+
+
+def _assert_same_sampleset(S, R):
+    assert (S.n1, S.n2, S.model, S.p, S.m_nominal, S.size) == (
+        R.n1, R.n2, R.model, R.p, R.m_nominal, R.size)
+    assert S.rows.dtype == S.cols.dtype == R.rows.dtype == R.cols.dtype == np.int64
+    np.testing.assert_array_equal(S.rows, R.rows)
+    np.testing.assert_array_equal(S.cols, R.cols)
+    assert S.mask.dtype == R.mask.dtype == bool
+    np.testing.assert_array_equal(S.mask, R.mask)
+
+
+@pytest.mark.parametrize("n1,n2", [(1, 1), (6, 6), (3, 7), (7, 3), (40, 40), (5, 64)])
+def test_drawn_sets_equal_the_index_constructed_draw(n1, n2):
+    # oracle: the same stream's raw draw, turned into indices and passed
+    # through the index constructor
+    total = n1 * n2
+    for t, p in enumerate((0.05, 0.3, 1.0)):
+        S = sample_bernoulli(n1, p, Rng(13, t), n2=n2)
+        rows, cols = np.nonzero(Rng(13, t).gen.random((n1, n2)) < p)
+        R = SampleSet(n1=n1, n2=n2, rows=rows, cols=cols, model="bernoulli",
+                      p=p, m_nominal=round(p * total))
+        _assert_same_sampleset(S, R)
+    assert S.size == total  # p = 1
+    for t, m in enumerate((0, 1, total // 3, total)):
+        S = sample_uniform(n1, m, Rng(14, t), n2=n2)
+        lin = Rng(14, t).gen.choice(total, size=m, replace=False)
+        R = SampleSet(n1=n1, n2=n2, rows=lin // n2, cols=lin % n2, model="uniform",
+                      p=m / total, m_nominal=m)
+        assert S.size == m
+        _assert_same_sampleset(S, R)
+
+
 # ------------------------------------------------------ sample_bernoulli
 
 def test_bernoulli_rejects_bad_p():
@@ -221,3 +269,13 @@ def test_from_text_rejects_malformed():
         from_text("# 4 4 fancy 0.5 8\n0 0\n")
     with pytest.raises(InvalidParameterError):
         from_text("# 4 4 uniform 0.5 8\n0\n")
+
+
+@pytest.mark.parametrize("text", [
+    "# 4 4 uniform abc 8\n0 0\n", "# four 4 uniform 0.5 8\n0 0\n",
+    "# 4 4 uniform 0.5 8.0\n0 0\n", "# 4 4 uniform 0.5 8\n0 x\n",
+    "# 4 4 uniform 0.5 8\n1.5 0\n", "# -4 4 uniform 0.5 0\n",
+])
+def test_from_text_rejects_non_numeric_fields(text):
+    with pytest.raises(InvalidParameterError):
+        from_text(text)
