@@ -160,7 +160,7 @@ def to_text(sset: SampleSet) -> str:
 
 
 def _number(kind, text: str, what: str):
-    """kind(text), a text it cannot parse raising InvalidParameterError."""
+    """Parse text with kind; unparsable text raises InvalidParameterError."""
     try:
         return kind(text)
     except ValueError:

@@ -65,12 +65,6 @@ def test_sampleset_rejects_out_of_range():
                       model="uniform", p=0.25, m_nominal=1)
 
 
-def test_sampleset_rejects_negative_dimensions():
-    with pytest.raises(InvalidParameterError):
-        SampleSet(n1=-1, n2=3, rows=np.zeros(0, int), cols=np.zeros(0, int),
-                  model="uniform", p=0.5, m_nominal=0)
-
-
 def test_sampleset_derives_index_arrays_once():
     S = sample_bernoulli(9, 0.4, Rng(12, 0), n2=5)
     assert S.size == int(S.mask.sum())
@@ -276,6 +270,6 @@ def test_from_text_rejects_malformed():
     "# 4 4 uniform 0.5 8.0\n0 0\n", "# 4 4 uniform 0.5 8\n0 x\n",
     "# 4 4 uniform 0.5 8\n1.5 0\n", "# -4 4 uniform 0.5 0\n",
 ])
-def test_from_text_rejects_non_numeric_fields(text):
+def test_from_text_rejects_bad_numbers(text):
     with pytest.raises(InvalidParameterError):
         from_text(text)
