@@ -1,10 +1,11 @@
 """Command-line front end.
 
-Subcommands mirror the experiment kinds (phase, cert, lower, equiv,
-moments) plus two file-level utilities: ``gen`` writes a serialized ground
-truth, ``solve`` completes a serialized sample set against an observed
-matrix.  Exit codes: 0 success, 1 configuration / usage error, 2 numeric
-failure.
+One subcommand per run kind of ``experiments.KINDS``, plus two file-level
+utilities: ``gen`` writes a serialized ground truth, ``solve`` completes a
+serialized sample set against an observed matrix.  Exit codes: 0 success,
+1 configuration / usage error, 2 numeric failure; a usage error that
+argparse itself reports (an unknown subcommand, a missing required flag)
+also exits 2.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import numpy as np
 
 from .errors import GenerationFailureError, InvalidParameterError, NumericFailureError
 from .experiments import (
+    KINDS,
     MODELS,
     ExperimentConfig,
     apply_overrides,
@@ -31,15 +33,19 @@ from .solver import SolverParams, complete, recovered
 
 _NUMERIC_ERRORS = (NumericFailureError, GenerationFailureError)
 
+# config keys with a shorthand flag: --KEY VALUE is --set KEY=VALUE, applied
+# after every --set
+_SHORTHANDS = {"seed": "base seed", "threads": "worker threads (cells)",
+               "format": "output format"}
+
 
 def _add_experiment_flags(sub):
     sub.add_argument("--config", help="key=value config file")
     sub.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                      help="override a config key (repeatable)")
-    sub.add_argument("--out", help="output path (default <kind>.csv)")
-    sub.add_argument("--seed", type=int, help="base seed")
-    sub.add_argument("--threads", type=int, help="worker threads (cells)")
-    sub.add_argument("--format", choices=("csv", "svg"), help="output format")
+    sub.add_argument("--out", help="output path (default <kind>.<format>)")
+    for key, blurb in _SHORTHANDS.items():
+        sub.add_argument("--" + key, help="%s; same as --set %s=VALUE" % (blurb, key))
 
 
 def _cmd_experiment(kind: str, args) -> int:
@@ -47,18 +53,14 @@ def _cmd_experiment(kind: str, args) -> int:
     if args.config:
         with open(args.config) as fh:
             cfg = parse_config(fh.read(), base=cfg)
-    apply_overrides(cfg, args.set)
+    apply_overrides(cfg, args.set + ["%s=%s" % (key, getattr(args, key))
+                                     for key in _SHORTHANDS
+                                     if getattr(args, key) is not None])
     if cfg.kind and cfg.kind != kind:
         raise InvalidParameterError(
             "config kind %r conflicts with subcommand %r" % (cfg.kind, kind)
         )
     cfg.kind = kind
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.threads is not None:
-        cfg.threads = args.threads
-    if args.format is not None:
-        cfg.format = args.format
     rows = run(cfg)
     out = args.out or cfg.out or (kind + "." + cfg.format)
     emit(rows, out, cfg.format)
@@ -117,13 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    for kind, blurb in (
-        ("phase", "solver recovery-rate sweep"),
-        ("cert", "dual-certificate sweep"),
-        ("lower", "block-coverage lower-bound experiment"),
-        ("equiv", "uniform vs Bernoulli sampling comparison"),
-        ("moments", "trace-moment Monte Carlo"),
-    ):
+    for kind, (_axes, _cell, blurb) in KINDS.items():
         sub = subs.add_parser(kind, help=blurb)
         _add_experiment_flags(sub)
         sub.set_defaults(func=lambda a, k=kind: _cmd_experiment(k, a))

@@ -3,7 +3,7 @@
 Every run kind (phase sweep, certificate sweep, coverage lower bound,
 sampling-model equivalence, trace moments) goes through one cell loop
 behind run(): it validates the config, builds the kind's cells from the
-table _KINDS (grid axes and one function that runs a cell's trials),
+table KINDS (grid axes and one function that runs a cell's trials),
 distributes whole cells over threads, and times each cell and fills the
 common columns of its row.  Every kind emits the same wide row type;
 columns that do not apply to a kind stay empty.  Rows come out in sorted
@@ -20,6 +20,7 @@ truths and the same observation sets trial for trial.
 from __future__ import annotations
 
 import time
+import typing
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from functools import partial
@@ -72,13 +73,13 @@ class ExperimentConfig:
     kind: str = ""
     model: str = "random_orth"
     sampling: str = "bernoulli"
-    n_grid: tuple = (32,)
-    r_grid: tuple = (2,)
-    m_grid: tuple = ()
-    p_grid: tuple = ()
-    mu0_grid: tuple = (2.0,)
-    j_grid: tuple = (1,)
-    k_grid: tuple = (0,)
+    n_grid: tuple[int, ...] = (32,)
+    r_grid: tuple[int, ...] = (2,)
+    m_grid: tuple[int, ...] = ()
+    p_grid: tuple[float, ...] = ()
+    mu0_grid: tuple[float, ...] = (2.0,)
+    j_grid: tuple[int, ...] = (1,)
+    k_grid: tuple[int, ...] = (0,)
     trials: int = 50
     seed: int = 0
     delta: float = 0.05
@@ -99,31 +100,30 @@ class ExperimentConfig:
     format: str = "csv"
 
 
-_INT_KEYS = {"trials", "seed", "cert_kmax", "solver_max_iter", "solver_rank_cap",
-             "record_timing", "threads"}
-_FLOAT_KEYS = {"delta", "mu_b_cap", "cert_tol", "recover_tol", "solver_step",
-               "solver_tol_feas", "solver_tol_obj"}
-_STR_KEYS = {"kind", "model", "sampling", "cert_method", "equiv_p", "out", "format"}
-_INT_GRIDS = {"n_grid", "r_grid", "m_grid", "j_grid", "k_grid"}
-_FLOAT_GRIDS = {"p_grid", "mu0_grid"}
+def _value_parser(hint):
+    """Parser of a config value typed hint; a tuple is a comma-separated list."""
+    if typing.get_origin(hint) is tuple:
+        item = typing.get_args(hint)[0]
+        return lambda text: tuple(item(v) for v in text.split(",") if v.strip())
+    return hint
 
 
-def _coerce(key: str, value: str):
-    value = value.strip()
+_KEY_PARSERS = {key: _value_parser(hint)
+                for key, hint in typing.get_type_hints(ExperimentConfig).items()}
+
+
+def _assign(cfg: ExperimentConfig, pair: str) -> None:
+    """Set one 'key=value' pair on cfg, parsed by the type of its field."""
+    key, eq, value = pair.partition("=")
+    key, value = key.strip(), value.strip()
+    if not eq:
+        raise InvalidParameterError("expected key=value, got %r" % pair)
+    if key not in _KEY_PARSERS:
+        raise InvalidParameterError("unknown config key %r" % key)
     try:
-        if key in _INT_KEYS:
-            return int(value)
-        if key in _FLOAT_KEYS:
-            return float(value)
-        if key in _STR_KEYS:
-            return value
-        if key in _INT_GRIDS:
-            return tuple(int(v) for v in value.split(",") if v.strip())
-        if key in _FLOAT_GRIDS:
-            return tuple(float(v) for v in value.split(",") if v.strip())
+        setattr(cfg, key, _KEY_PARSERS[key](value))
     except ValueError as exc:
         raise InvalidParameterError("bad value for %s: %r" % (key, value)) from exc
-    raise InvalidParameterError("unknown config key %r" % key)
 
 
 def parse_config(text: str, base: ExperimentConfig | None = None) -> ExperimentConfig:
@@ -131,29 +131,21 @@ def parse_config(text: str, base: ExperimentConfig | None = None) -> ExperimentC
     cfg = ExperimentConfig() if base is None else base
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise InvalidParameterError("expected key=value, got %r" % raw)
-        key, value = line.split("=", 1)
-        key = key.strip()
-        setattr(cfg, key, _coerce(key, value))
+        if line:
+            _assign(cfg, line)
     return cfg
 
 
 def apply_overrides(cfg: ExperimentConfig, pairs) -> ExperimentConfig:
     """Apply --set key=value overrides on top of a parsed config."""
     for pair in pairs:
-        if "=" not in pair:
-            raise InvalidParameterError("override must be key=value, got %r" % pair)
-        key, value = pair.split("=", 1)
-        setattr(cfg, key.strip(), _coerce(key.strip(), value))
+        _assign(cfg, pair)
     return cfg
 
 
 def _validate(cfg: ExperimentConfig):
-    if cfg.kind not in _KINDS:
-        raise InvalidParameterError("kind must be one of %s" % (tuple(_KINDS),))
+    if cfg.kind not in KINDS:
+        raise InvalidParameterError("kind must be one of %s" % (tuple(KINDS),))
     if cfg.model not in MODELS:
         raise InvalidParameterError("model must be one of %s" % (MODELS,))
     if cfg.sampling not in ("bernoulli", "uniform"):
@@ -164,9 +156,9 @@ def _validate(cfg: ExperimentConfig):
         raise InvalidParameterError("equiv_p must be 'm' or '2m'")
     if cfg.threads < 1:
         raise InvalidParameterError("threads must be >= 1")
-    if cfg.format not in ("csv", "svg"):
-        raise InvalidParameterError("format must be csv or svg")
-    axes = _KINDS[cfg.kind][0]
+    if cfg.format not in _WRITERS:
+        raise InvalidParameterError("format must be one of %s" % (tuple(_WRITERS),))
+    axes = KINDS[cfg.kind][0]
     for axis in axes:
         if not getattr(cfg, axis):
             raise InvalidParameterError("%s must be nonempty for kind=%s"
@@ -234,8 +226,9 @@ class ExperimentRow:
 
 
 FIELDS = tuple(f.name for f in fields(ExperimentRow))
-_INT_FIELDS = {"n", "r", "m", "trials", "successes", "ell", "below_m_star", "j", "k"}
-_STR_FIELDS = {"kind", "model", "sampling"}
+# column name -> str, int or float: the annotation, or X of an 'X | None'
+_COLUMN_TYPES = {name: (typing.get_args(hint) or (hint,))[0]
+                 for name, hint in typing.get_type_hints(ExperimentRow).items()}
 
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
@@ -435,14 +428,19 @@ def _moments_cell(cfg, idx, n, r, p, j, k) -> dict:
                 moment_bound_poly=est.bound_poly, moment_closed=est.closed_form)
 
 
-# kind -> (grid axes, outermost first; cell function).  A kind's cells are
-# the sorted product of its axes, which always start with n_grid, r_grid.
-_KINDS = {
-    "phase": (("n_grid", "r_grid", "m_grid"), _phase_cell),
-    "cert": (("n_grid", "r_grid", "m_grid"), _cert_cell),
-    "lower": (("n_grid", "r_grid", "mu0_grid", "p_grid"), _lower_cell),
-    "equiv": (("n_grid", "r_grid", "m_grid"), _equiv_cell),
-    "moments": (("n_grid", "r_grid", "p_grid", "j_grid", "k_grid"), _moments_cell),
+# kind -> (grid axes, outermost first; cell function; help line).  A kind's
+# cells are the sorted product of its axes, which always start with n_grid,
+# r_grid.  The command line has one subcommand per entry.
+KINDS = {
+    "phase": (("n_grid", "r_grid", "m_grid"), _phase_cell,
+              "solver recovery-rate sweep"),
+    "cert": (("n_grid", "r_grid", "m_grid"), _cert_cell, "dual-certificate sweep"),
+    "lower": (("n_grid", "r_grid", "mu0_grid", "p_grid"), _lower_cell,
+              "block-coverage lower-bound experiment"),
+    "equiv": (("n_grid", "r_grid", "m_grid"), _equiv_cell,
+              "uniform vs Bernoulli sampling comparison"),
+    "moments": (("n_grid", "r_grid", "p_grid", "j_grid", "k_grid"), _moments_cell,
+                "trace-moment Monte Carlo"),
 }
 
 
@@ -462,7 +460,7 @@ def _run_cell(cfg: ExperimentConfig, cell_fn, idx: int, cell) -> ExperimentRow:
 def run(cfg: ExperimentConfig) -> list[ExperimentRow]:
     """Run the sweep of cfg.kind: one row per grid cell, in sorted cell order."""
     _validate(cfg)
-    axes, cell_fn = _KINDS[cfg.kind]
+    axes, cell_fn, _ = KINDS[cfg.kind]
     cells = list(product(*(sorted(getattr(cfg, axis)) for axis in axes)))
     if cfg.threads > 1:
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
@@ -506,14 +504,12 @@ def rows_from_csv(text: str) -> list[ExperimentRow]:
                                         % (len(parts), len(FIELDS)))
         kw = {}
         for name, part in zip(FIELDS, parts):
-            if name in _STR_FIELDS:
-                kw[name] = part
-            elif part == "":
-                kw[name] = None
-            elif name in _INT_FIELDS:
-                kw[name] = int(part)
-            else:
-                kw[name] = float(part)
+            parse = _COLUMN_TYPES[name]
+            try:
+                kw[name] = None if part == "" and parse is not str else parse(part)
+            except ValueError:
+                raise InvalidParameterError("bad value for column %s: %r"
+                                            % (name, part)) from None
         rows.append(ExperimentRow(**kw))
     return rows
 
@@ -560,15 +556,16 @@ def _svg_scatter(rows) -> str:
     return "\n".join(parts) + "\n"
 
 
+# output format -> writer of a list of rows
+_WRITERS = {"csv": rows_to_csv, "svg": _svg_scatter}
+
+
 def emit(rows, path: str, fmt: str = "csv") -> None:
     """Write rows to path as CSV or a scatter SVG.  Refuses empty input."""
     if not rows:
         raise InvalidParameterError("no rows to emit")
-    if fmt == "csv":
-        payload = rows_to_csv(rows)
-    elif fmt == "svg":
-        payload = _svg_scatter(rows)
-    else:
-        raise InvalidParameterError("format must be csv or svg")
+    if fmt not in _WRITERS:
+        raise InvalidParameterError("format must be one of %s" % (tuple(_WRITERS),))
+    payload = _WRITERS[fmt](rows)
     with open(path, "w") as fh:
         fh.write(payload)

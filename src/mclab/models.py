@@ -280,29 +280,33 @@ def gt_from_text(text: str) -> GroundTruth:
     head = lines[0][1:].split()
     if len(head) != 4:
         raise InvalidParameterError("malformed header: %r" % lines[0])
-    n, r = int(head[0]), int(head[1])
-    model, seed = head[2], int(head[3])
+    # a cut text runs off the end of lines; a bad number or ragged row is a ValueError
+    try:
+        n, r = int(head[0]), int(head[1])
+        model, seed = head[2], int(head[3])
 
-    idx = 1
-    if lines[idx] != "U:":
-        raise InvalidParameterError("expected 'U:' block")
-    U = np.array([[float(x) for x in lines[idx + 1 + i].split()] for i in range(n)])
-    idx += 1 + n
-    if not lines[idx].startswith("sigma:"):
-        raise InvalidParameterError("expected 'sigma:' line")
-    sigma = np.array([float(x) for x in lines[idx].split()[1:]])
-    idx += 1
-    if not lines[idx].startswith("signs:"):
-        raise InvalidParameterError("expected 'signs:' line")
-    signs = np.array([float(x) for x in lines[idx].split()[1:]])
-    idx += 1
-    if lines[idx] != "V:":
-        raise InvalidParameterError("expected 'V:' block")
-    V = np.array([[float(x) for x in lines[idx + 1 + i].split()] for i in range(n)])
-    idx += 1 + n
-    mu_b = None
-    if idx < len(lines) and lines[idx].startswith("mu_b:"):
-        mu_b = float(lines[idx].split()[1])
+        idx = 1
+        if lines[idx] != "U:":
+            raise InvalidParameterError("expected 'U:' block")
+        U = np.array([[float(x) for x in lines[idx + 1 + i].split()] for i in range(n)])
+        idx += 1 + n
+        if not lines[idx].startswith("sigma:"):
+            raise InvalidParameterError("expected 'sigma:' line")
+        sigma = np.array([float(x) for x in lines[idx].split()[1:]])
+        idx += 1
+        if not lines[idx].startswith("signs:"):
+            raise InvalidParameterError("expected 'signs:' line")
+        signs = np.array([float(x) for x in lines[idx].split()[1:]])
+        idx += 1
+        if lines[idx] != "V:":
+            raise InvalidParameterError("expected 'V:' block")
+        V = np.array([[float(x) for x in lines[idx + 1 + i].split()] for i in range(n)])
+        idx += 1 + n
+        mu_b = None
+        if idx < len(lines) and lines[idx].startswith("mu_b:"):
+            mu_b = float(lines[idx].split()[1])
+    except (IndexError, ValueError) as exc:
+        raise InvalidParameterError("malformed ground truth text: %s" % exc) from exc
 
     if U.shape != (n, r) or V.shape != (n, r):
         raise InvalidParameterError("factor block shape mismatch")

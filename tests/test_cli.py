@@ -1,10 +1,15 @@
 """End-to-end CLI checks through main(argv)."""
 
+import argparse
+import dataclasses
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import mclab.cli
-from mclab.cli import main
+from mclab.cli import build_parser, main
 from mclab.errors import (
     ConvergenceError,
     DivergenceError,
@@ -12,7 +17,13 @@ from mclab.errors import (
     InjectivityError,
     NumericFailureError,
 )
-from mclab.experiments import MODELS, gen_ground_truth, rows_from_csv
+from mclab.experiments import (
+    KINDS,
+    MODELS,
+    ExperimentConfig,
+    gen_ground_truth,
+    rows_from_csv,
+)
 from mclab.models import gt_from_text, gt_to_text
 from mclab.sampling import to_text as sampleset_to_text, sample_bernoulli
 from mclab.linalg import Rng
@@ -71,6 +82,42 @@ def test_config_errors_exit_1(tmp_path, capsys):
     assert main(["phase", "--set", "m_grid=100", "--set", "n_grid=8"]) == 1
     # missing config file
     assert main(["phase", "--config", str(tmp_path / "nope.cfg")]) == 1
+
+
+@pytest.mark.parametrize("flag,value", [("--format", "pdf"), ("--seed", "abc"),
+                                        ("--threads", "x")])
+def test_bad_shorthand_flag_exits_1(tmp_path, capsys, flag, value):
+    # --seed, --threads and --format are --set pairs: a bad value is a
+    # configuration error, as with --set
+    out = tmp_path / "o.csv"
+    assert main(["phase", "--set", "n_grid=8", "--set", "r_grid=1",
+                 "--set", "m_grid=40", flag, value, "--out", str(out)]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_shorthand_flags_beat_set(tmp_path):
+    # threads=0 and format=pdf would be refused; the flags are applied last
+    out = tmp_path / "o.csv"
+    assert main(["phase", "--set", "n_grid=8", "--set", "r_grid=1",
+                 "--set", "m_grid=40", "--set", "trials=2", "--set", "threads=0",
+                 "--set", "format=pdf", "--threads", "1", "--format", "csv",
+                 "--out", str(out)]) == 0
+    assert rows_from_csv(out.read_text())[0].trials == 2
+
+
+def test_subcommands_are_the_run_kinds_and_the_two_utilities():
+    subs = next(a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction))
+    assert set(subs.choices) == set(KINDS) | {"gen", "solve"}
+
+
+def test_readme_key_block_lists_every_config_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"```\n(kind .*?)```", readme, re.S).group(1)
+    missing = [f.name for f in dataclasses.fields(ExperimentConfig)
+               if not re.search(r"\b%s\b" % f.name, block)]
+    assert not missing
 
 
 def test_gen_solve_round_trip(tmp_path, capsys):

@@ -96,6 +96,23 @@ def test_apply_overrides():
         apply_overrides(cfg, ["bogus=1"])
 
 
+@pytest.mark.parametrize("field", dataclasses.fields(ExperimentConfig),
+                         ids=lambda f: f.name)
+def test_every_key_parses_its_default_back(field):
+    # the text a config file would hold for the default gives back the
+    # default, element types included, through both key=value entry points
+    default = field.default
+    text = ",".join(map(str, default)) if isinstance(default, tuple) else str(default)
+    for cfg in (parse_config("%s = %s" % (field.name, text)),
+                apply_overrides(ExperimentConfig(), ["%s=%s" % (field.name, text)])):
+        value = getattr(cfg, field.name)
+        assert value == default
+        if isinstance(default, tuple):
+            assert [type(v) for v in value] == [type(v) for v in default]
+        else:
+            assert type(value) is type(default)
+
+
 def test_validation_failures_surface():
     with pytest.raises(InvalidParameterError):
         run(_phase_cfg(kind="nope"))
@@ -166,6 +183,17 @@ def test_csv_rejects_malformed_input():
         rows_from_csv(header + "\n" + row + ",extra\n")
 
 
+def test_csv_unparsable_value_is_invalid_parameter():
+    good = rows_to_csv(run(_phase_cfg()))
+    header, row = good.splitlines()[:2]
+    parts = row.split(",")
+    for col in ("n", "p", "mean_relerr"):
+        bad = list(parts)
+        bad[FIELDS.index(col)] = "x"
+        with pytest.raises(InvalidParameterError):
+            rows_from_csv(header + "\n" + ",".join(bad) + "\n")
+
+
 def test_emit_csv_and_svg(tmp_path):
     rows = run(_phase_cfg(m_grid=(40, 64)))
     csv_path = tmp_path / "out.csv"
@@ -217,6 +245,13 @@ def test_phase_full_sampling_always_recovers():
     assert row.mean_mu0 >= 1.0  # leverage max is at least the average
     assert row.wilson_lo <= 1.0 <= row.wilson_hi
     assert row.wall_ms == 0.0  # timing off by default, keeps bytes frozen
+
+
+def test_record_timing_fills_only_wall_ms():
+    rows = run(_phase_cfg(m_grid=(40, 64)))
+    timed = run(_phase_cfg(m_grid=(40, 64), record_timing=1))
+    assert all(row.wall_ms > 0.0 for row in timed)
+    assert [dataclasses.replace(row, wall_ms=0.0) for row in timed] == rows
 
 
 def test_phase_success_grows_with_sampling():

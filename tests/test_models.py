@@ -245,3 +245,19 @@ def test_round_trip_exact_all_models():
 def test_from_text_rejects_garbage():
     with pytest.raises(InvalidParameterError):
         gt_from_text("not a header\n")
+
+
+def _gt_text_lines():
+    return gt_to_text(gen_random_orthogonal(4, 1, Rng(0, 0))).splitlines()
+
+
+@pytest.mark.parametrize("edit", [
+    lambda ls: ls[:6],                                # cut after the U block
+    lambda ls: ls[:1],                                # header alone
+    lambda ls: ["# 4 x random_orth 0"] + ls[1:],      # non-integer header field
+    lambda ls: ls[:2] + ["abc"] + ls[3:],             # non-numeric entry
+    lambda ls: ls[:2] + [ls[2] + " 0.5"] + ls[3:],    # ragged U row
+], ids=["cut_after_U", "header_alone", "header_int", "entry", "ragged_row"])
+def test_from_text_malformed_is_invalid_parameter(edit):
+    with pytest.raises(InvalidParameterError):
+        gt_from_text("\n".join(edit(_gt_text_lines())) + "\n")
