@@ -101,7 +101,7 @@ class ExperimentConfig:
 
 
 def _value_parser(hint):
-    """Parser of a config value typed hint; a tuple is a comma-separated list."""
+    """Parser of a config value of type hint; tuples are comma-separated lists."""
     if typing.get_origin(hint) is tuple:
         item = typing.get_args(hint)[0]
         return lambda text: tuple(item(v) for v in text.split(",") if v.strip())
