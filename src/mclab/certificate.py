@@ -21,11 +21,15 @@ Y = (1/p) P_Omega( sum_k (-1)^k (P_T Q_Omega P_T)^k E ) or by conjugate
 gradients on T.  Among all Omega-supported Z with P_T P_Omega(Z) = E this
 Y has the smallest Frobenius norm, and ||Y||_F^2 = r + ||P_Tperp Y||_F^2.
 
-The exact deviation statistic and injectivity floor come from the tangent
-Gram matrix: in the orthonormal coordinates of ``TangentSpace.features``,
-G = sum over Omega of phi phi^T is P_T P_Omega P_T on T, so one symmetric
-eigendecomposition of this (2nr - r^2)-square matrix gives
-a = max |lam / p - 1| and lam_min = min lam.
+The engine works in the orthonormal coordinates of T (``TangentSpace.coords``
+and its inverse ``TangentSpace.embed``, dimension 2nr - r^2).  There
+P_T P_Omega P_T is the tangent Gram matrix G = ``TangentSpace.gram``, built
+from its block structure, and E has coordinates [V; 0].  One symmetric
+eigendecomposition of G gives the exact deviation statistic
+a = max |lam / p - 1| and injectivity floor lam_min = min lam; the Neumann
+series iterates G / p - I and conjugate gradients solve G w = [V; 0], both
+on vectors of length dim T.  Each finished certificate is then checked as
+an n x n matrix, apart from the coordinates that built it.
 
 decide() answers the question the certificate stands for -- is the
 planted matrix the unique nuclear-norm minimizer? -- from one
@@ -74,11 +78,26 @@ def _check_pair(T: TangentSpace, S: SampleSet):
         raise InvalidParameterError("sample set is empty")
 
 
-def _spectrum_edges(T: TangentSpace, S: SampleSet) -> tuple[float, float]:
-    """(a, lam_min) from one eigendecomposition of the tangent Gram matrix."""
-    phi = T.features(S.rows, S.cols)
-    lam = np.linalg.eigvalsh(phi.T @ phi)
-    return float(np.max(np.abs(lam / S.p - 1.0))), float(lam[0])
+def _spectrum_edges(T: TangentSpace, S: SampleSet) -> tuple[np.ndarray, float, float]:
+    """The tangent Gram matrix G, with (a, lam_min) from its eigenvalues."""
+    G = T.gram(S.mask)
+    lam = np.linalg.eigvalsh(G)
+    return G, float(np.max(np.abs(lam / S.p - 1.0))), float(lam[0])
+
+
+def _sign_coords(T: TangentSpace) -> np.ndarray:
+    """Coordinates of E = U V^T: [V; 0], exactly."""
+    e_t = np.zeros(T.dim)
+    e_t[:T.n * T.r] = T.V.ravel()
+    return e_t
+
+
+def _refusal(cls, message: str, a: float, lam_min: float, **kw):
+    """A builder's refusal, carrying the spectrum edges it computed as
+    ``a_stat`` and ``lam_min`` so that no caller computes them again."""
+    exc = cls(message, **kw)
+    exc.a_stat, exc.lam_min = a, lam_min
+    return exc
 
 
 def deviation_stat(T: TangentSpace, S: SampleSet) -> float:
@@ -89,7 +108,7 @@ def deviation_stat(T: TangentSpace, S: SampleSet) -> float:
     guaranteed whenever |Omega| < dim T.
     """
     _check_pair(T, S)
-    return _spectrum_edges(T, S)[0]
+    return _spectrum_edges(T, S)[1]
 
 
 @dataclass
@@ -137,25 +156,27 @@ def build_certificate_neumann(T: TangentSpace, S: SampleSet, k_max: int = 100,
     series still sums; the residual field shows what was achieved).
     """
     _check_pair(T, S)
-    a, lam_min = _spectrum_edges(T, S)
+    G, a, lam_min = _spectrum_edges(T, S)
     if a >= 1.0:
-        raise DivergenceError(
-            "deviation %.4f >= 1: series cannot converge" % a
-        )
-    term = T.e.copy()
+        raise _refusal(DivergenceError,
+                       "deviation %.4f >= 1: series cannot converge" % a, a, lam_min)
+    # P_T Q_Omega P_T in tangent coordinates
+    step = G / S.p
+    step[np.diag_indices_from(step)] -= 1.0
+    term = _sign_coords(T)
     total = term.copy()
     norms = [float(np.linalg.norm(term))]
     tol_abs = tol * norms[0]
     truncated = True
     for _ in range(k_max):
-        term = -T.apply_pt(q_omega(term, S))
+        term = -(step @ term)
         nrm = float(np.linalg.norm(term))
         total += term
         norms.append(nrm)
         if nrm <= tol_abs:
             truncated = False
             break
-    Y = project_omega(total, S) / S.p
+    Y = project_omega(T.embed(total), S) / S.p
     return _finish_report(
         T, S, Y, a, lam_min, method="neumann(k_max=%d)" % k_max,
         term_norms=np.array(norms), truncated=truncated,
@@ -167,47 +188,48 @@ def build_certificate_cg(T: TangentSpace, S: SampleSet, tol: float = 1e-10,
                          max_iter: int = 1000) -> CertificateReport:
     """Certificate via conjugate gradients on the normal equations in T.
 
-    Solves P_T P_Omega (W) = E over W in T and returns Y = P_Omega(W).
-    Raises InjectivityError when the operator is not positive definite and
-    ConvergenceError (with the residual) when max_iter is exhausted.
+    Solves P_T P_Omega (W) = E over W in T, as G w = [V; 0] in tangent
+    coordinates, and returns Y = P_Omega(W).  Raises InjectivityError when
+    the operator is not positive definite and ConvergenceError (with the
+    residual, and the n x n iterate as its estimate) when max_iter is
+    exhausted.
     """
     _check_pair(T, S)
     if max_iter < 1:
         raise InvalidParameterError("max_iter must be >= 1")
-    a, lam_min = _spectrum_edges(T, S)
+    G, a, lam_min = _spectrum_edges(T, S)
     if a >= 1.0:
-        raise InjectivityError(
-            "deviation %.4f >= 1: normal operator is singular on T" % a
-        )
-    b = T.e
-    W = np.zeros_like(b)
-    R = b.copy()
+        raise _refusal(InjectivityError,
+                       "deviation %.4f >= 1: normal operator is singular on T" % a,
+                       a, lam_min)
+    R = _sign_coords(T)
+    w = np.zeros_like(R)
     D = R.copy()
-    rs = float(np.sum(R * R))
+    rs = float(R @ R)
     converged = False
     iters = 0
     for iters in range(1, max_iter + 1):
-        AD = T.apply_pt(project_omega(D, S))
-        dad = float(np.sum(D * AD))
+        GD = G @ D
+        dad = float(D @ GD)
         if dad <= 0.0:
-            raise InjectivityError(
-                "normal operator not positive definite (d^T A d = %.3e)" % dad
-            )
+            raise _refusal(InjectivityError,
+                           "normal operator not positive definite (d^T A d = %.3e)"
+                           % dad, a, lam_min)
         step = rs / dad
-        W += step * D
-        R -= step * AD
-        rs_new = float(np.sum(R * R))
+        w += step * D
+        R -= step * GD
+        rs_new = float(R @ R)
         if np.sqrt(rs_new) <= tol:
             converged = True
             break
         D = R + (rs_new / rs) * D
         rs = rs_new
     if not converged:
-        raise ConvergenceError(
-            "conjugate gradients stalled at residual %.3e" % np.sqrt(rs_new),
-            residual=float(np.sqrt(rs_new)), estimate=W,
-        )
-    Y = project_omega(W, S)
+        raise _refusal(ConvergenceError,
+                       "conjugate gradients stalled at residual %.3e" % np.sqrt(rs_new),
+                       a, lam_min, residual=float(np.sqrt(rs_new)),
+                       estimate=T.embed(w))
+    Y = project_omega(T.embed(w), S)
     return _finish_report(
         T, S, Y, a, lam_min, method="cg(tol=%g)" % tol, iters=iters,
     )
@@ -220,6 +242,7 @@ def try_build_certificate(T: TangentSpace, S: SampleSet, method: str = "neumann"
     When the strict builders refuse (deviation >= 1, singular operator, or
     stalled solve) this returns an uncertifiable report around the zero
     matrix instead of raising, which is what the experiment drivers want.
+    Its a_stat and lam_min are the ones the refused build computed.
     """
     builder = {"neumann": build_certificate_neumann, "cg": build_certificate_cg}
     if method not in builder:
@@ -229,8 +252,8 @@ def try_build_certificate(T: TangentSpace, S: SampleSet, method: str = "neumann"
     except (DivergenceError, InjectivityError, ConvergenceError) as exc:
         return CertificateReport(
             Y=np.zeros((T.n, T.n)), resid_t=float(np.linalg.norm(T.e)),
-            supp_ok=True, ptperp_norm=0.0, a_stat=deviation_stat(T, S),
-            injective=False, lam_min=0.0, method=method, failure=str(exc),
+            supp_ok=True, ptperp_norm=0.0, a_stat=exc.a_stat,
+            injective=False, lam_min=exc.lam_min, method=method, failure=str(exc),
         )
 
 
@@ -259,7 +282,7 @@ def verify_certificate(T: TangentSpace, S: SampleSet,
 # Tangent Gram eigenvalues at or below _NULL_TOL count as zero.  G has
 # norm at most 1, so eigh's absolute error is about dim * eps, under 1e-12
 # for every dim T up to a few thousand; above the floor, G^{-1} maps a
-# vector of the range of phi to one at most 1 / sqrt(_NULL_TOL) = 1e4
+# vector of the range of phi^T to one at most 1 / sqrt(_NULL_TOL) = 1e4
 # times longer.
 _NULL_TOL = 1e-8
 # A lower bound refutes only when it exceeds 1 by _REFUTE_MARGIN.  Each
@@ -293,11 +316,17 @@ class Decision:
 def decide(T: TangentSpace, S: SampleSet) -> Decision:
     """Decide whether M is the unique minimizer of the nuclear norm over
     the matrices that agree with it on Omega, by three cheap exits that
-    share one eigendecomposition of G = phi^T phi, phi = T.features(Omega).
+    share one eigendecomposition of the tangent Gram matrix G.
+
+    In the tangent coordinates of ``TangentSpace.coords`` let phi be the
+    |Omega| x dim T matrix whose rows are coords(e_i e_j^T) over Omega, so
+    that G = phi^T phi.  phi is never formed: phi c is embed(c) read on
+    Omega, and phi^T y is coords of the Omega-supported matrix with
+    entries y.
 
     M is a minimizer iff some Omega-supported Y has P_T Y = E and
     ||P_Tperp Y|| <= 1, and the unique one if some such Y has norm < 1 and
-    G is nonsingular.  In feature coordinates E is e_T = [V.ravel(); 0].
+    G is nonsingular.  In tangent coordinates E is e_T = [V; 0].
 
     1. Null direction: some eigenvalues of G are <= _NULL_TOL (always so
        when |Omega| < dim T).  With h the part of e_T in their span, the
@@ -321,17 +350,15 @@ def decide(T: TangentSpace, S: SampleSet) -> Decision:
     """
     _check_grid(T, S)
     n, r = T.n, T.r
-    phi = T.features(S.rows, S.cols)
-    lam, Q = np.linalg.eigh(phi.T @ phi)
+    lam, Q = np.linalg.eigh(T.gram(S.mask))
     lam_min = float(lam[0])
-    e_t = np.zeros(T.dim)
-    e_t[:n * r] = T.V.ravel()
+    e_t = _sign_coords(T)
 
     null = lam <= _NULL_TOL
     if null.any():
         h = Q[:, null] @ (Q[:, null].T @ e_t)
         hh = float(h @ h)
-        ph = float(np.linalg.norm(phi @ h))
+        ph = float(np.linalg.norm(T.embed(h)[S.mask]))
         bound_sq = hh * hh / (ph * ph) if ph > 0.0 else (np.inf if hh > 0.0 else 0.0)
         lower = float(np.sqrt(max(bound_sq - r, 0.0) / max(n - r, 1)))
         verdict = "refuted" if lower > 1.0 + _REFUTE_MARGIN else "undecided"
@@ -340,16 +367,15 @@ def decide(T: TangentSpace, S: SampleSet) -> Decision:
     def solve(x):
         return Q @ ((Q.T @ x) / lam)
 
-    R = -T.e
-    R[S.rows, S.cols] += phi @ solve(e_t)
+    R = np.where(S.mask, T.embed(solve(e_t)), 0.0) - T.e
     u, s, vt = np.linalg.svd(R)
     upper = float(s[0])
     if upper < 1.0:
         return Decision("certified", "min_norm", upper, 0.0, lam_min)
 
     Z = np.outer(u[:, 0], vt[0])
-    w = solve(phi.T @ Z[S.rows, S.cols])
-    Z[S.rows, S.cols] = phi @ w
+    w = solve(T.coords(np.where(S.mask, Z, 0.0)))
+    Z = np.where(S.mask, T.embed(w), Z)
     lower = (float(w @ e_t) - float(np.sum(Z * T.e))) / float(np.linalg.norm(Z, "nuc"))
     verdict = "refuted" if lower > 1.0 + _REFUTE_MARGIN else "undecided"
     return Decision(verdict, "witness", upper, lower, lam_min)

@@ -5,7 +5,8 @@ utilities: ``gen`` writes a serialized ground truth, ``solve`` completes a
 serialized sample set against an observed matrix.  Exit codes: 0 success,
 1 configuration / usage error, 2 numeric failure; a usage error that
 argparse itself reports (an unknown subcommand, a missing required flag)
-also exits 2.
+also exits 2.  Flag values are parsed after argparse, so a bad one raises
+InvalidParameterError and exits 1.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .experiments import (
 )
 from .linalg import Rng
 from .models import gt_to_text
-from .sampling import from_text as sampleset_from_text
+from .sampling import _number, from_text as sampleset_from_text
 from .solver import SolverParams, complete, recovered
 
 _NUMERIC_ERRORS = (NumericFailureError, GenerationFailureError)
@@ -68,13 +69,23 @@ def _cmd_experiment(kind: str, args) -> int:
     return 0
 
 
+def _typed(args, **kinds):
+    """Parse the named flags of args in place, each by its kind; a bad
+    value raises InvalidParameterError."""
+    for name, kind in kinds.items():
+        if getattr(args, name) is not None:
+            setattr(args, name, _number(kind, getattr(args, name),
+                                        "--" + name.replace("_", "-")))
+
+
 def _parse_sigma(text):
     if not text:
         return None
-    return np.array([float(v) for v in text.split(",") if v.strip()])
+    return np.array([_number(float, v, "--sigma") for v in text.split(",") if v.strip()])
 
 
 def _cmd_gen(args) -> int:
+    _typed(args, n=int, r=int, seed=int, mu0=float, mu_b_cap=float)
     gt = gen_ground_truth(args.model, args.n, args.r, Rng(args.seed), args.mu0,
                           args.mu_b_cap, sigma=_parse_sigma(args.sigma))
     with open(args.out, "w") as fh:
@@ -95,6 +106,8 @@ def _save_matrix(path: str, X: np.ndarray) -> None:
 
 
 def _cmd_solve(args) -> int:
+    _typed(args, step=float, tol_feas=float, tol_obj=float, max_iter=int,
+           rank_cap=int, tau=float)
     with open(args.samples) as fh:
         sset = sampleset_from_text(fh.read())
     observed = _load_matrix(args.observed)
@@ -125,13 +138,13 @@ def build_parser() -> argparse.ArgumentParser:
         sub.set_defaults(func=lambda a, k=kind: _cmd_experiment(k, a))
 
     gen = subs.add_parser("gen", help="write a serialized ground truth")
-    gen.add_argument("--model", required=True, choices=MODELS)
-    gen.add_argument("--n", type=int, required=True)
-    gen.add_argument("--r", type=int, required=True)
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--model", required=True, help=" | ".join(MODELS))
+    gen.add_argument("--n", required=True)
+    gen.add_argument("--r", required=True)
+    gen.add_argument("--seed", default=0)
     gen.add_argument("--out", required=True)
-    gen.add_argument("--mu0", type=float, default=2.0, help="block model target")
-    gen.add_argument("--mu-b-cap", dest="mu_b_cap", type=float, default=6.0)
+    gen.add_argument("--mu0", default=2.0, help="block model target")
+    gen.add_argument("--mu-b-cap", dest="mu_b_cap", default=6.0)
     gen.add_argument("--sigma", help="comma-separated singular values")
     gen.set_defaults(func=_cmd_gen)
 
@@ -140,12 +153,12 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--observed", required=True, help="observed matrix file")
     solve.add_argument("--out", required=True, help="completed matrix output")
     solve.add_argument("--truth", help="optional reference matrix")
-    solve.add_argument("--step", type=float, default=1.2)
-    solve.add_argument("--tol-feas", dest="tol_feas", type=float, default=1e-6)
-    solve.add_argument("--tol-obj", dest="tol_obj", type=float, default=1e-9)
-    solve.add_argument("--max-iter", dest="max_iter", type=int, default=3000)
-    solve.add_argument("--rank-cap", dest="rank_cap", type=int, default=None)
-    solve.add_argument("--tau", type=float, default=None)
+    solve.add_argument("--step", default=1.2)
+    solve.add_argument("--tol-feas", dest="tol_feas", default=1e-6)
+    solve.add_argument("--tol-obj", dest="tol_obj", default=1e-9)
+    solve.add_argument("--max-iter", dest="max_iter", default=3000)
+    solve.add_argument("--rank-cap", dest="rank_cap")
+    solve.add_argument("--tau")
     solve.set_defaults(func=_cmd_solve)
 
     return parser

@@ -13,11 +13,16 @@ pair, and factors exactly as
 (1 - rho) Q_U X + (1 - rho) X Q_V - Q_U X Q_V with Q_U = P_U - rho I.
 All apply paths cost O(n^2 r); the dense n x n projectors are kept only
 for entrywise diagnostics.
+
+T also has orthonormal coordinates of length dim T = 2nr - r^2
+(``coords`` and its inverse ``embed``), in which P_T P_Omega P_T is the
+tangent Gram matrix ``gram(mask)`` that the certificate engine works with.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -71,24 +76,64 @@ class TangentSpace:
         """Dimension of T as a linear space: 2nr - r^2."""
         return 2 * self.n * self.r - self.r * self.r
 
-    def features(self, rows, cols) -> np.ndarray:
-        """Coordinates of the entry matrices e_i e_j^T, projected onto T, in
-        an orthonormal basis of T: one row per (i, j) pair, dim columns.
+    @cached_property
+    def u_perp(self) -> np.ndarray:
+        """W, an orthonormal basis of the complement of span(U): the last
+        n - r columns of U's complete QR factor, computed on first use."""
+        return np.linalg.qr(self.U, mode="complete")[0][:, self.r:]
 
-        The basis is u_k e_j^T (column block j * r + k) followed by
-        w_l v_k^T (block n * r + l * r + k), where the w_l complete U to an
-        orthonormal basis of R^n.  For a sample set, phi^T phi is the
-        matrix of P_T P_Omega P_T on T.
+    def coords(self, X) -> np.ndarray:
+        """Coordinates of P_T(X) in an orthonormal basis of T, length dim.
+
+        The basis is u_k e_j^T (coordinate j * r + k) followed by
+        w_l v_k^T (coordinate n * r + l * r + k), where w_l are the columns
+        of ``u_perp``.  The coordinates are therefore X^T U and W^T X V,
+        each flattened row-major.
         """
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
-        n, r, m = self.n, self.r, rows.shape[0]
-        u_perp = np.linalg.qr(self.U, mode="complete")[0][:, r:]
-        phi = np.zeros((m, self.dim))
-        phi[np.arange(m)[:, None], cols[:, None] * r + np.arange(r)] = self.U[rows]
-        phi[:, n * r:] = (u_perp[rows][:, :, None]
-                          * self.V[cols][:, None, :]).reshape(m, self.dim - n * r)
-        return phi
+        X = np.asarray(X, dtype=float)
+        return np.concatenate([(X.T @ self.U).ravel(),
+                               (self.u_perp.T @ X @ self.V).ravel()])
+
+    def embed(self, c) -> np.ndarray:
+        """The matrix U A^T + W B V^T of T with coordinates c = [A; B]; the
+        inverse of ``coords`` on T."""
+        c = np.asarray(c, dtype=float)
+        n, r = self.n, self.r
+        A = c[:n * r].reshape(n, r)
+        B = c[n * r:].reshape(n - r, r)
+        return self.U @ A.T + (self.u_perp @ B) @ self.V.T
+
+    def gram(self, mask) -> np.ndarray:
+        """The matrix G of P_T P_Omega P_T on T in the coordinates of
+        ``coords``, for the n x n boolean mask of Omega.
+
+        G is the sum over Omega of phi_ij phi_ij^T, where phi_ij =
+        coords(e_i e_j^T) holds U_i in the block of column j and W_i (x) V_j
+        in the second part.  G is formed block by block, never through phi:
+
+        * UU is block-diagonal: block j is sum_i mask_ij U_i U_i^T;
+        * UW row block j is P_j (x) V_j^T, with P = mask^T (U (x) W) row by row;
+        * WW is sum_i (W_i W_i^T) (x) C_i, with C_i = sum_j mask_ij V_j V_j^T.
+
+        That costs O(n^2 r (n - r) + n (n - r)^2 r^2), where phi^T phi costs
+        O(|Omega| (n r)^2).
+        """
+        n, r = self.n, self.r
+        w, nr = n - r, n * r
+        U, V, W = self.U, self.V, self.u_perp
+        M = np.asarray(mask, dtype=float)
+        G = np.empty((self.dim, self.dim))
+        uu = M.T @ (U[:, :, None] * U[:, None, :]).reshape(n, r * r)
+        idx = np.arange(nr).reshape(n, r)
+        G[:nr, :nr] = 0.0
+        G[idx[:, :, None], idx[:, None, :]] = uu.reshape(n, r, r)
+        uw = (M.T @ (U[:, :, None] * W[:, None, :]).reshape(n, r * w)).reshape(n, r, w)
+        G[:nr, nr:] = (uw[:, :, :, None] * V[:, None, None, :]).reshape(nr, w * r)
+        G[nr:, :nr] = G[:nr, nr:].T
+        C = M @ (V[:, :, None] * V[:, None, :]).reshape(n, r * r)
+        ww = W.T @ (W[:, :, None] * C[:, None, :]).reshape(n, w * r * r)
+        G[nr:, nr:] = ww.reshape(w, w, r, r).transpose(1, 2, 0, 3).reshape(w * r, w * r)
+        return G
 
     def apply_pt(self, X) -> np.ndarray:
         """Project onto T."""

@@ -1,6 +1,8 @@
-"""Dual-certificate machinery: deviation statistic, the two builders and
-their agreement, verification, the exact decision, operator-word
-coefficients, chain norms, and trace moments."""
+"""Dual-certificate machinery: the tangent Gram matrix and coordinate maps
+against the dense feature matrix, deviation statistic, the two builders
+against the n x n loops they replaced and against each other,
+verification, the exact decision, operator-word coefficients, chain
+norms, and trace moments."""
 
 import math
 
@@ -8,6 +10,8 @@ import numpy as np
 import pytest
 
 from mclab.certificate import (
+    _NULL_TOL,
+    _REFUTE_MARGIN,
     TANGENT_TRANSFER_SIGMA0,
     build_certificate_cg,
     build_certificate_neumann,
@@ -20,10 +24,23 @@ from mclab.certificate import (
     try_build_certificate,
     verify_certificate,
 )
-from mclab.errors import DivergenceError, InjectivityError, InvalidParameterError
-from mclab.linalg import Rng
+from mclab.errors import (
+    ConvergenceError,
+    DivergenceError,
+    InjectivityError,
+    InvalidParameterError,
+)
+from mclab.experiments import _SLOT_OMEGA2, ExperimentConfig, _draw, _stream
+from mclab.geometry import TangentSpace
+from mclab.linalg import Rng, spectral_norm
 from mclab.models import gen_random_orthogonal
-from mclab.sampling import SampleSet, project_omega, q_omega, sample_bernoulli
+from mclab.sampling import (
+    SampleSet,
+    project_omega,
+    q_omega,
+    sample_bernoulli,
+    sample_uniform,
+)
 
 
 def _instance(n, r, p, seed):
@@ -36,6 +53,247 @@ def _full(n):
     rows, cols = np.nonzero(np.ones((n, n), dtype=bool))
     return SampleSet(n1=n, n2=n, rows=rows, cols=cols, model="bernoulli",
                      p=1.0, m_nominal=n * n)
+
+
+def _empty(n, p=0.5):
+    return SampleSet(n1=n, n2=n, rows=np.zeros(0, int), cols=np.zeros(0, int),
+                     model="bernoulli", p=p, m_nominal=0)
+
+
+# ---------------------------------------------------------------- oracles
+# The dense routes the engine replaced: the feature matrix phi, whose
+# rows are the tangent coordinates of the entry matrices e_i e_j^T, and
+# the n x n Neumann and conjugate-gradient loops.
+
+def _features(T, rows, cols):
+    """phi over the pairs (rows, cols), entry by entry: U_i in the block
+    of column j, then W_i (x) V_j, with W = T.u_perp."""
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    n, r, m = T.n, T.r, rows.shape[0]
+    phi = np.zeros((m, T.dim))
+    phi[np.arange(m)[:, None], cols[:, None] * r + np.arange(r)] = T.U[rows]
+    phi[:, n * r:] = (T.u_perp[rows][:, :, None]
+                      * T.V[cols][:, None, :]).reshape(m, T.dim - n * r)
+    return phi
+
+
+def _dense_a(T, S):
+    phi = _features(T, S.rows, S.cols)
+    lam = np.linalg.eigvalsh(phi.T @ phi)
+    return float(np.max(np.abs(lam / S.p - 1.0))), float(lam[0])
+
+
+def _dense_neumann(T, S, k_max=100, tol=1e-12):
+    """(Y, term norms, truncated) of the series summed as n x n matrices."""
+    term = T.e.copy()
+    total = term.copy()
+    norms = [float(np.linalg.norm(term))]
+    truncated = True
+    for _ in range(k_max):
+        term = -T.apply_pt(q_omega(term, S))
+        norms.append(float(np.linalg.norm(term)))
+        total += term
+        if norms[-1] <= tol * norms[0]:
+            truncated = False
+            break
+    return project_omega(total, S) / S.p, np.array(norms), truncated
+
+
+def _dense_cg(T, S, tol=1e-10, max_iter=1000):
+    """(W, iterations, final residual) of CG on P_T P_Omega W = E in n x n."""
+    W = np.zeros_like(T.e)
+    R = T.e.copy()
+    D = R.copy()
+    rs = float(np.sum(R * R))
+    for it in range(1, max_iter + 1):
+        AD = T.apply_pt(project_omega(D, S))
+        step = rs / float(np.sum(D * AD))
+        W += step * D
+        R -= step * AD
+        rs_new = float(np.sum(R * R))
+        if np.sqrt(rs_new) <= tol:
+            break
+        D = R + (rs_new / rs) * D
+        rs = rs_new
+    return W, it, float(np.sqrt(rs_new))
+
+
+def _dense_decide(T, S):
+    """decide() as (verdict, reason, upper, lower, lam_min) through phi."""
+    n, r = T.n, T.r
+    phi = _features(T, S.rows, S.cols)
+    lam, Q = np.linalg.eigh(phi.T @ phi)
+    e_t = np.zeros(T.dim)
+    e_t[:n * r] = T.V.ravel()
+    null = lam <= _NULL_TOL
+    if null.any():
+        h = Q[:, null] @ (Q[:, null].T @ e_t)
+        hh, ph = float(h @ h), float(np.linalg.norm(phi @ h))
+        bound_sq = hh * hh / (ph * ph) if ph > 0.0 else (np.inf if hh > 0.0 else 0.0)
+        lower = float(np.sqrt(max(bound_sq - r, 0.0) / max(n - r, 1)))
+        verdict = "refuted" if lower > 1.0 + _REFUTE_MARGIN else "undecided"
+        return verdict, "null", np.inf, lower, lam[0]
+
+    def solve(x):
+        return Q @ ((Q.T @ x) / lam)
+
+    R = -T.e
+    R[S.rows, S.cols] += phi @ solve(e_t)
+    u, s, vt = np.linalg.svd(R)
+    if s[0] < 1.0:
+        return "certified", "min_norm", s[0], 0.0, lam[0]
+    Z = np.outer(u[:, 0], vt[0])
+    w = solve(phi.T @ Z[S.rows, S.cols])
+    Z[S.rows, S.cols] = phi @ w
+    lower = (w @ e_t - np.sum(Z * T.e)) / np.linalg.norm(Z, "nuc")
+    verdict = "refuted" if lower > 1.0 + _REFUTE_MARGIN else "undecided"
+    return verdict, "witness", s[0], lower, lam[0]
+
+
+# ------------------------------------------------------ tangent coordinates
+
+def _coordinate_cases():
+    # (T, S): n = 1, r = n, r = n - 1, both samplers, an empty and a full mask
+    out = []
+    for n, r, p, seed in ((1, 1, 1.0, 1), (5, 5, 0.6, 2), (6, 5, 0.6, 3),
+                          (14, 3, 0.5, 4), (20, 2, 0.3, 5)):
+        out.append(_instance(n, r, p, seed))
+    T = gen_random_orthogonal(16, 2, Rng(6, 0)).tangent_space()
+    out += [(T, sample_uniform(16, 90, Rng(6, 1))), (T, _empty(16)), (T, _full(16))]
+    return out
+
+
+def test_gram_matches_feature_oracle():
+    for T, S in _coordinate_cases():
+        phi = _features(T, S.rows, S.cols)
+        G = T.gram(S.mask)
+        assert G.shape == (T.dim, T.dim)
+        assert np.max(np.abs(G - phi.T @ phi), initial=0.0) <= 1e-13, (T.n, T.r)
+    T, S = _coordinate_cases()[-1]
+    np.testing.assert_allclose(T.gram(S.mask), np.eye(T.dim), rtol=0, atol=1e-13)
+    assert not T.gram(np.zeros((16, 16), dtype=bool)).any()
+
+
+def test_coordinate_maps_invert_and_match_phi():
+    gen = np.random.default_rng(7)
+    for T, S in _coordinate_cases():
+        phi = _features(T, S.rows, S.cols)
+        c = gen.standard_normal(T.dim)
+        X = gen.standard_normal((T.n, T.n))
+        H = T.embed(c)
+        np.testing.assert_allclose(T.coords(H), c, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(T.apply_pt(H), H, rtol=0, atol=1e-13)
+        assert np.linalg.norm(H) == pytest.approx(np.linalg.norm(c), rel=1e-13)
+        np.testing.assert_allclose(H[S.mask], phi @ c, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(T.coords(np.where(S.mask, X, 0.0)),
+                                   phi.T @ X[S.mask], rtol=0, atol=1e-13)
+    W = T.u_perp
+    np.testing.assert_allclose(W.T @ W, np.eye(T.n - T.r), atol=1e-13)
+    np.testing.assert_allclose(T.U.T @ W, 0.0, atol=1e-13)
+    # E has coordinates [V; 0]
+    e_t = T.coords(T.e)
+    np.testing.assert_allclose(e_t[:T.n * T.r], T.V.ravel(), atol=1e-13)
+    np.testing.assert_allclose(e_t[T.n * T.r:], 0.0, atol=1e-13)
+
+
+def _engine_cases():
+    out = [_instance(n, r, p, seed) for n, r, p, seed in
+           ((12, 1, 0.7, 31), (20, 2, 0.7, 32), (24, 3, 0.8, 33))]
+    for seed in range(3):
+        gt = gen_random_orthogonal(48, 2, Rng(34, seed))
+        out.append((gt.tangent_space(), sample_uniform(48, 1614, Rng(35, seed))))
+    return out
+
+
+def test_neumann_matches_the_dense_loop():
+    for T, S in _engine_cases():
+        for k_max in (100, 3):
+            rep = build_certificate_neumann(T, S, k_max=k_max)
+            Y, norms, truncated = _dense_neumann(T, S, k_max=k_max)
+            a, lam_min = _dense_a(T, S)
+            assert (rep.iters, rep.truncated) == (len(norms) - 1, truncated)
+            np.testing.assert_allclose(rep.term_norms, norms, rtol=0, atol=1e-12)
+            assert abs(rep.a_stat - a) <= 1e-12
+            assert abs(rep.lam_min - lam_min) <= 1e-12
+            assert abs(rep.ptperp_norm - spectral_norm(T.apply_ptperp(Y))) <= 1e-12
+            np.testing.assert_allclose(rep.Y, Y, rtol=0, atol=1e-11)
+
+
+def test_cg_matches_the_dense_loop():
+    for T, S in _engine_cases():
+        rep = build_certificate_cg(T, S)
+        W, iters, _ = _dense_cg(T, S)
+        Y = project_omega(W, S)
+        assert rep.iters == iters
+        assert abs(rep.a_stat - _dense_a(T, S)[0]) <= 1e-12
+        assert abs(rep.ptperp_norm - spectral_norm(T.apply_ptperp(Y))) <= 1e-12
+        np.testing.assert_allclose(rep.Y, Y, rtol=0, atol=1e-11)
+        # a stalled solve carries the n x n iterate and its residual
+        with pytest.raises(ConvergenceError) as err:
+            build_certificate_cg(T, S, max_iter=2)
+        W, _, resid = _dense_cg(T, S, max_iter=2)
+        assert err.value.estimate.shape == (T.n, T.n)
+        np.testing.assert_allclose(err.value.estimate, W, rtol=0, atol=1e-12)
+        assert err.value.residual == pytest.approx(resid, rel=1e-10)
+
+
+def test_refused_build_computes_the_spectrum_once(monkeypatch):
+    calls = []
+    gram = TangentSpace.gram
+
+    def counted(self, mask):
+        calls.append(1)
+        return gram(self, mask)
+
+    monkeypatch.setattr(TangentSpace, "gram", counted)
+    T, _ = _instance(12, 2, 0.5, 10)
+    starved = sample_bernoulli(12, 0.1, Rng(10, 2))
+    T2, S2 = _instance(16, 2, 0.7, 9)
+    for T, S, method, kw in ((T, starved, "neumann", {}), (T, starved, "cg", {}),
+                             (T2, S2, "cg", {"max_iter": 2})):
+        calls.clear()
+        rep = try_build_certificate(T, S, method=method, **kw)
+        assert rep.failure is not None and len(calls) == 1
+        assert rep.a_stat == deviation_stat(T, S)
+        assert abs(rep.lam_min - _dense_a(T, S)[1]) <= 1e-12
+
+
+def _check_07_sides(trials):
+    # acceptance check 07's cell, both sides of each trial as equiv draws them
+    cfg = ExperimentConfig(kind="equiv", n_grid=(32,), r_grid=(1,), m_grid=(194,),
+                           model="random_orth", trials=400, seed=41, equiv_p="2m")
+    for t in trials:
+        gt, s_unif = _draw(cfg, 0, t, 32, 1, 194, "uniform")
+        s_ber = sample_bernoulli(32, 2 * 194 / 32 ** 2,
+                                 Rng(cfg.seed, _stream(0, t, _SLOT_OMEGA2)))
+        T = gt.tangent_space()
+        yield T, s_unif
+        yield T, s_ber
+
+
+def _replay_decide(trials):
+    reasons = set()
+    for T, S in _check_07_sides(trials):
+        d = decide(T, S)
+        verdict, reason, upper, lower, lam_min = _dense_decide(T, S)
+        assert (d.verdict, d.reason) == (verdict, reason)
+        assert abs(d.lam_min - lam_min) <= 1e-12
+        # the null exit's lower divides two rounding-level numbers
+        if reason != "null":
+            assert d.upper == pytest.approx(upper, rel=1e-8, abs=0.0)
+            assert d.lower == pytest.approx(lower, rel=1e-8, abs=0.0)
+        reasons.add(reason)
+    return reasons
+
+
+def test_decide_matches_dense_oracle_on_check_07_trials():
+    assert _replay_decide(range(20)) >= {"min_norm", "witness"}
+
+
+@pytest.mark.slow
+def test_decide_matches_dense_oracle_on_all_check_07_trials():
+    assert _replay_decide(range(400)) >= {"min_norm", "witness"}
 
 
 # -------------------------------------------------------- deviation stat
@@ -153,7 +411,6 @@ def test_cg_refuses_singular_operator():
 
 
 def test_cg_reports_residual_on_stall():
-    from mclab.errors import ConvergenceError
     T, S = _instance(16, 2, 0.7, 9)
     with pytest.raises(ConvergenceError) as err:
         build_certificate_cg(T, S, max_iter=2)
@@ -278,9 +535,7 @@ def test_decide_refutes_an_empty_row_with_a_cheaper_feasible_point():
     assert np.array_equal(project_omega(X, S), project_omega(gt.M, S))
     assert np.linalg.norm(X, "nuc") < np.linalg.norm(gt.M, "nuc") - 1e-4
     # with nothing observed the zero matrix is feasible
-    empty = SampleSet(n1=n, n2=n, rows=np.zeros(0, int), cols=np.zeros(0, int),
-                      model="bernoulli", p=0.5, m_nominal=0)
-    d = decide(T, empty)
+    d = decide(T, _empty(n))
     assert (d.verdict, d.reason, d.lower) == ("refuted", "null", math.inf)
 
 
@@ -294,8 +549,8 @@ def test_decide_witness_is_orthogonal_to_every_free_direction():
     # of every entry, the minimum-norm certificate, and the witness Z with
     # its Omega entries projected onto the range of phi
     everything = _full(n)
-    e_t = T.features(everything.rows, everything.cols).T @ T.e.ravel()
-    phi = T.features(S.rows, S.cols)
+    e_t = _features(T, everything.rows, everything.cols).T @ T.e.ravel()
+    phi = _features(T, S.rows, S.cols)
     Y0 = np.zeros((n, n))
     Y0[S.rows, S.cols] = np.linalg.lstsq(phi.T, e_t, rcond=None)[0]
     R = Y0 - T.e

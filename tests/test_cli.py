@@ -179,6 +179,25 @@ def test_gen_block_model_demands_valid_mu0(tmp_path, capsys):
     assert capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag,value", [("--model", "foo"), ("--n", "abc"),
+                                        ("--r", "1.5"), ("--seed", "x"),
+                                        ("--mu0", "abc"), ("--sigma", "3,abc")])
+def test_gen_bad_flag_value_exits_1(tmp_path, capsys, flag, value):
+    args = {"--model": "random_orth", "--n": "8", "--r": "2", flag: value}
+    out = tmp_path / "gt.txt"
+    assert main(["gen", *[t for kv in args.items() for t in kv],
+                 "--out", str(out)]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_gen_missing_required_flag_exits_2(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "--model", "random_orth", "--n", "8",
+              "--out", str(tmp_path / "gt.txt")])
+    assert exc.value.code == 2
+
+
 def test_numeric_failures_share_one_base():
     for cls in (DivergenceError, InjectivityError, ConvergenceError):
         assert issubclass(cls, NumericFailureError)
@@ -221,7 +240,9 @@ def test_solve_non_finite_observed_entry_exit_1(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("extra", [("--tau", "-5"), ("--tau", "nan"), ("--tau", "inf"),
-                                   ("--rank-cap", "0"), ("--rank-cap", "-1")],
+                                   ("--rank-cap", "0"), ("--rank-cap", "-1"),
+                                   ("--tau", "abc"), ("--step", "x"),
+                                   ("--max-iter", "1.5"), ("--rank-cap", "two")],
                          ids="=".join)
 def test_solve_invalid_knob_exit_1(tmp_path, capsys, extra):
     assert _solve_rank_one(tmp_path, extra) == 1
