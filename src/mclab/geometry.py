@@ -122,10 +122,9 @@ class TangentSpace:
         w, nr = n - r, n * r
         U, V, W = self.U, self.V, self.u_perp
         M = np.asarray(mask, dtype=float)
-        G = np.empty((self.dim, self.dim))
+        G = np.zeros((self.dim, self.dim))
         uu = M.T @ (U[:, :, None] * U[:, None, :]).reshape(n, r * r)
         idx = np.arange(nr).reshape(n, r)
-        G[:nr, :nr] = 0.0
         G[idx[:, :, None], idx[:, None, :]] = uu.reshape(n, r, r)
         uw = (M.T @ (U[:, :, None] * W[:, None, :]).reshape(n, r * w)).reshape(n, r, w)
         G[:nr, nr:] = (uw[:, :, :, None] * V[:, None, None, :]).reshape(nr, w * r)
