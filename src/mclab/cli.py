@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import typing
 
 import numpy as np
 
@@ -33,6 +34,11 @@ from .sampling import _number, from_text as sampleset_from_text
 from .solver import SolverParams, complete, recovered
 
 _NUMERIC_ERRORS = (NumericFailureError, GenerationFailureError)
+
+# `mclab solve` has one flag per SolverParams field, parsed by the field's
+# type: the annotation, or X of an 'X | None'
+_SOLVER_FLAGS = {name: (typing.get_args(hint) or (hint,))[0]
+                 for name, hint in typing.get_type_hints(SolverParams).items()}
 
 # config keys with a shorthand flag: --KEY VALUE is --set KEY=VALUE, applied
 # after every --set
@@ -96,7 +102,10 @@ def _cmd_gen(args) -> int:
 
 
 def _load_matrix(path: str) -> np.ndarray:
-    return np.loadtxt(path, ndmin=2)
+    try:
+        return np.loadtxt(path, ndmin=2)
+    except ValueError as exc:
+        raise InvalidParameterError("%s: %s" % (path, exc)) from None
 
 
 def _save_matrix(path: str, X: np.ndarray) -> None:
@@ -106,14 +115,12 @@ def _save_matrix(path: str, X: np.ndarray) -> None:
 
 
 def _cmd_solve(args) -> int:
-    _typed(args, step=float, tol_feas=float, tol_obj=float, max_iter=int,
-           rank_cap=int, tau=float)
+    _typed(args, **_SOLVER_FLAGS)
     with open(args.samples) as fh:
         sset = sampleset_from_text(fh.read())
     observed = _load_matrix(args.observed)
-    params = SolverParams(step=args.step, tol_feas=args.tol_feas,
-                          tol_obj=args.tol_obj, max_iter=args.max_iter,
-                          rank_cap=args.rank_cap, tau=args.tau)
+    params = SolverParams(**{name: getattr(args, name) for name in _SOLVER_FLAGS
+                             if getattr(args, name) is not None})
     res = complete(sset, observed, params)
     _save_matrix(args.out, res.Xhat)
     print("iters=%d feas_resid=%.6e nuclear=%.9g converged=%d"
@@ -153,12 +160,8 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--observed", required=True, help="observed matrix file")
     solve.add_argument("--out", required=True, help="completed matrix output")
     solve.add_argument("--truth", help="optional reference matrix")
-    solve.add_argument("--step", default=1.2)
-    solve.add_argument("--tol-feas", dest="tol_feas", default=1e-6)
-    solve.add_argument("--tol-obj", dest="tol_obj", default=1e-9)
-    solve.add_argument("--max-iter", dest="max_iter", default=3000)
-    solve.add_argument("--rank-cap", dest="rank_cap")
-    solve.add_argument("--tau")
+    for name in _SOLVER_FLAGS:
+        solve.add_argument("--" + name.replace("_", "-"), help="SolverParams." + name)
     solve.set_defaults(func=_cmd_solve)
 
     return parser
@@ -169,7 +172,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InvalidParameterError, FileNotFoundError) as exc:
+    except (InvalidParameterError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
     except _NUMERIC_ERRORS as exc:

@@ -66,8 +66,6 @@ class ExperimentConfig:
     Grid fields are tuples; runners use the ones relevant to their kind
     (m_grid for phase/cert/equiv, p_grid for lower/moments, j_grid and
     k_grid for moments, mu0_grid for lower and the block model).
-    solver_rank_cap: -1 derives min(n, 4r + 10) per cell, 0 disables the
-    cap, positive values are used as given.
     """
 
     kind: str = ""
@@ -85,14 +83,7 @@ class ExperimentConfig:
     delta: float = 0.05
     mu_b_cap: float = 6.0
     cert_method: str = "neumann"
-    cert_kmax: int = 100
-    cert_tol: float = 1e-6
-    recover_tol: float = 1e-4
-    solver_step: float = 1.2
-    solver_tol_feas: float = 1e-6
-    solver_tol_obj: float = 1e-9
     solver_max_iter: int = 3000
-    solver_rank_cap: int = -1
     equiv_p: str = "m"
     record_timing: int = 0
     threads: int = 1
@@ -154,6 +145,8 @@ def _validate(cfg: ExperimentConfig):
         raise InvalidParameterError("trials must be >= 1")
     if cfg.equiv_p not in ("m", "2m"):
         raise InvalidParameterError("equiv_p must be 'm' or '2m'")
+    if not 0.0 < cfg.delta < 1.0:
+        raise InvalidParameterError("delta must lie in (0, 1)")
     if cfg.threads < 1:
         raise InvalidParameterError("threads must be >= 1")
     if cfg.format not in _WRITERS:
@@ -271,15 +264,7 @@ def gen_ground_truth(model: str, n: int, r: int, rng: Rng, mu0: float,
 
 
 def _solver_params(cfg: ExperimentConfig, n: int, r: int) -> SolverParams:
-    if cfg.solver_rank_cap < 0:
-        cap = min(n, 4 * r + 10)
-    elif cfg.solver_rank_cap == 0:
-        cap = None
-    else:
-        cap = cfg.solver_rank_cap
-    return SolverParams(step=cfg.solver_step, tol_feas=cfg.solver_tol_feas,
-                        tol_obj=cfg.solver_tol_obj, max_iter=cfg.solver_max_iter,
-                        rank_cap=cap)
+    return SolverParams(max_iter=cfg.solver_max_iter, rank_cap=min(n, 4 * r + 10))
 
 
 def _draw(cfg: ExperimentConfig, idx: int, t: int, n: int, r: int, m: int,
@@ -319,7 +304,7 @@ def _phase_cell(cfg, idx, n, r, m) -> dict:
     relerrs, incs = [], []
     for t in range(cfg.trials):
         gt, S = _draw(cfg, idx, t, n, r, m, cfg.sampling)
-        ok, rel = recovered(gt.M, complete(S, gt.M, params).Xhat, tol=cfg.recover_tol)
+        ok, rel = recovered(gt.M, complete(S, gt.M, params).Xhat)
         succ += int(ok)
         relerrs.append(rel)
         incs.append(incoherence(gt.tangent_space()))
@@ -329,14 +314,13 @@ def _phase_cell(cfg, idx, n, r, m) -> dict:
 
 def _cert_cell(cfg, idx, n, r, m) -> dict:
     """Certificate success, trial for trial on phase's instances."""
-    kw = {"k_max": cfg.cert_kmax} if cfg.cert_method == "neumann" else {}
     succ = 0
     a_stats, ptperps, incs = [], [], []
     for t in range(cfg.trials):
         gt, S = _draw(cfg, idx, t, n, r, m, cfg.sampling)
         T = gt.tangent_space()
-        rep = try_build_certificate(T, S, method=cfg.cert_method, **kw)
-        succ += int(verify_certificate(T, S, rep, tol=cfg.cert_tol))
+        rep = try_build_certificate(T, S, method=cfg.cert_method)
+        succ += int(verify_certificate(T, S, rep))
         a_stats.append(rep.a_stat)
         ptperps.append(rep.ptperp_norm)
         incs.append(incoherence(T))
@@ -372,7 +356,7 @@ def _lower_cell(cfg, idx, n, r, mu0, p) -> dict:
                 below_m_star=int(m < m_star))
 
 
-def _recovers(gt, T, S, params, tol) -> bool:
+def _recovers(gt, T, S, params) -> bool:
     """Whether SVT recovers gt.M from S; no solve when decide refutes M.
 
     A refuted M is not a nuclear-norm minimizer, and SVT's regularized
@@ -382,7 +366,7 @@ def _recovers(gt, T, S, params, tol) -> bool:
     """
     if decide(T, S).verdict == "refuted":
         return False
-    return recovered(gt.M, complete(S, gt.M, params).Xhat, tol=tol)[0]
+    return recovered(gt.M, complete(S, gt.M, params).Xhat)[0]
 
 
 def _equiv_cell(cfg, idx, n, r, m) -> dict:
@@ -402,8 +386,8 @@ def _equiv_cell(cfg, idx, n, r, m) -> dict:
         gt, s_unif = _draw(cfg, idx, t, n, r, m, "uniform")
         s_ber = sample_bernoulli(n, p_ber, Rng(cfg.seed, _stream(idx, t, _SLOT_OMEGA2)))
         T = gt.tangent_space()
-        fail_u += int(not _recovers(gt, T, s_unif, params, cfg.recover_tol))
-        fail_b += int(not _recovers(gt, T, s_ber, params, cfg.recover_tol))
+        fail_u += int(not _recovers(gt, T, s_unif, params))
+        fail_b += int(not _recovers(gt, T, s_ber, params))
     tr = cfg.trials
     rate_u = fail_u / tr
     rate_b = fail_b / tr

@@ -146,18 +146,9 @@ class TangentSpace:
         X = np.asarray(X, dtype=float)
         return X - self.apply_pt(X)
 
-    def apply_qt(self, X, form: str = "centered") -> np.ndarray:
-        """Apply Q_T = P_T - rho' I.
-
-        form="centered" uses the factored product formula in Q_U, Q_V;
-        form="projection" subtracts rho' X from the projection.  The two
-        agree to roundoff and are cross-checked in the test suite.
-        """
+    def apply_qt(self, X) -> np.ndarray:
+        """Apply Q_T = P_T - rho' I by the factored product formula in Q_U, Q_V."""
         X = np.asarray(X, dtype=float)
-        if form == "projection":
-            return self.apply_pt(X) - self.rho_prime * X
-        if form != "centered":
-            raise InvalidParameterError("unknown form %r" % form)
         rho = self.rho
         qu_x = self.U @ (self.U.T @ X) - rho * X
         x_qv = (X @ self.V) @ self.V.T - rho * X
@@ -206,50 +197,25 @@ class IncoherenceReport:
     witnesses: dict
 
 
+def _side_peak(left, right):
+    """Largest entry of left and right, ties going left, with its witness:
+    the side, then the index of the side's first maximal entry."""
+    side, A = ("left", left) if left.max() >= right.max() else ("right", right)
+    return float(A.max()), (side, *map(int, np.unravel_index(int(np.argmax(A)), A.shape)))
+
+
 def incoherence(T: TangentSpace) -> IncoherenceReport:
     n, r = T.n, T.r
     sq = np.sqrt(r)
-    witnesses = {}
-
-    lev_u = np.sum(T.U ** 2, axis=1)
-    lev_v = np.sum(T.V ** 2, axis=1)
-    if lev_u.max() >= lev_v.max():
-        mu0 = (n / r) * lev_u.max()
-        witnesses["mu0"] = ("left", int(np.argmax(lev_u)))
-    else:
-        mu0 = (n / r) * lev_v.max()
-        witnesses["mu0"] = ("right", int(np.argmax(lev_v)))
-
-    du = np.abs(T.qu)
-    dv = np.abs(T.qv)
-    if du.max() >= dv.max():
-        idx = np.unravel_index(int(np.argmax(du)), du.shape)
-        mu1 = (n / sq) * du.max()
-        witnesses["mu1"] = ("left", int(idx[0]), int(idx[1]))
-    else:
-        idx = np.unravel_index(int(np.argmax(dv)), dv.shape)
-        mu1 = (n / sq) * dv.max()
-        witnesses["mu1"] = ("right", int(idx[0]), int(idx[1]))
-
+    lev, w_lev = _side_peak(np.sum(T.U ** 2, axis=1), np.sum(T.V ** 2, axis=1))
+    dev, w_dev = _side_peak(np.abs(T.qu), np.abs(T.qv))
+    flat, w_flat = _side_peak(T.U ** 2, T.V ** 2)
     ae = np.abs(T.e)
-    idx = np.unravel_index(int(np.argmax(ae)), ae.shape)
-    mu2 = (n / sq) * ae.max()
-    witnesses["mu2"] = (int(idx[0]), int(idx[1]))
-
-    u2 = T.U ** 2
-    v2 = T.V ** 2
-    if u2.max() >= v2.max():
-        idx = np.unravel_index(int(np.argmax(u2)), u2.shape)
-        mu_b = n * u2.max()
-        witnesses["mu_b"] = ("left", int(idx[0]), int(idx[1]))
-    else:
-        idx = np.unravel_index(int(np.argmax(v2)), v2.shape)
-        mu_b = n * v2.max()
-        witnesses["mu_b"] = ("right", int(idx[0]), int(idx[1]))
-
+    w_sign = tuple(map(int, np.unravel_index(int(np.argmax(ae)), ae.shape)))
     return IncoherenceReport(
-        mu0=float(mu0), mu1=float(mu1), mu2=float(mu2), mu_b=float(mu_b),
-        witnesses=witnesses,
+        mu0=(n / r) * lev, mu1=float((n / sq) * dev), mu2=float((n / sq) * ae.max()),
+        mu_b=n * flat,
+        witnesses={"mu0": w_lev, "mu1": w_dev, "mu2": w_sign, "mu_b": w_flat},
     )
 
 

@@ -106,6 +106,19 @@ def test_shorthand_flags_beat_set(tmp_path):
     assert rows_from_csv(out.read_text())[0].trials == 2
 
 
+@pytest.mark.parametrize("key", ["solver_step", "solver_tol_feas", "solver_tol_obj",
+                                 "solver_rank_cap", "cert_kmax", "cert_tol",
+                                 "recover_tol"])
+def test_retired_solver_and_certificate_keys_are_unknown(tmp_path, capsys, key):
+    # the harness runs at the library defaults; SolverParams and the
+    # keywords of recovered and verify_certificate still take other values
+    out = tmp_path / "o.csv"
+    assert main(["phase", "--set", "n_grid=8", "--set", "r_grid=1",
+                 "--set", "m_grid=40", "--set", key + "=1", "--out", str(out)]) == 1
+    assert "unknown config key" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_subcommands_are_the_run_kinds_and_the_two_utilities():
     subs = next(a for a in build_parser()._actions
                 if isinstance(a, argparse._SubParsersAction))
@@ -232,6 +245,27 @@ def _solve_rank_one(tmp_path, extra=(), bad_entry=False) -> int:
         "\n".join(" ".join(repr(float(v)) for v in row) for row in obs) + "\n")
     return main(["solve", "--samples", str(samples), "--observed", str(observed),
                  "--out", str(tmp_path / "xhat.txt"), *extra])
+
+
+@pytest.mark.parametrize("flag,name", [("--observed", "bad.txt"), ("--truth", "bad.txt"),
+                                       ("--out", ".")], ids=["observed", "truth", "out_dir"])
+def test_solve_unparsable_matrix_or_directory_exit_1(tmp_path, capsys, flag, name):
+    # the later flag wins over _solve_rank_one's own --observed and --out
+    (tmp_path / "bad.txt").write_text("1.0 abc\n2.0 3.0\n")
+    assert _solve_rank_one(tmp_path, (flag, str(tmp_path / name))) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["phase", "--config", "{dir}"],
+    ["phase", "--set", "n_grid=8", "--set", "r_grid=1", "--set", "m_grid=40",
+     "--set", "trials=1", "--out", "{dir}"],
+    ["gen", "--model", "random_orth", "--n", "8", "--r", "1", "--out", "{dir}"],
+    ["solve", "--samples", "{dir}", "--observed", "{dir}", "--out", "{dir}"],
+], ids=["phase_config", "phase_out", "gen_out", "solve"])
+def test_directory_in_place_of_a_file_exit_1(tmp_path, capsys, argv):
+    assert main([a.format(dir=tmp_path) for a in argv]) == 1
+    assert "error:" in capsys.readouterr().err
 
 
 def test_solve_non_finite_observed_entry_exit_1(tmp_path, capsys):

@@ -292,6 +292,14 @@ def test_lower_bound_row_algebra():
                              p_grid=(1.5,), trials=5))
 
 
+@pytest.mark.parametrize("delta", [0.0, -0.1, 1.0, 2.0, float("nan")])
+def test_lower_rejects_delta_outside_the_unit_interval(delta):
+    # delta = 0 divided by zero in m_star, and a negative delta made it complex
+    with pytest.raises(InvalidParameterError, match="delta"):
+        run(ExperimentConfig(kind="lower", model="block", n_grid=(16,), r_grid=(2,),
+                             p_grid=(0.3,), trials=5, delta=delta))
+
+
 def test_model_equiv_rates_and_pooled_se():
     cfg = ExperimentConfig(kind="equiv", n_grid=(10,), r_grid=(1,),
                            m_grid=(80,), model="random_orth", trials=10, seed=23)
