@@ -119,14 +119,14 @@ def _cmd_solve(args) -> int:
     with open(args.samples) as fh:
         sset = sampleset_from_text(fh.read())
     observed = _load_matrix(args.observed)
+    truth = _load_matrix(args.truth) if args.truth else None
     params = SolverParams(**{name: getattr(args, name) for name in _SOLVER_FLAGS
                              if getattr(args, name) is not None})
     res = complete(sset, observed, params)
     _save_matrix(args.out, res.Xhat)
     print("iters=%d feas_resid=%.6e nuclear=%.9g converged=%d"
           % (res.iters, res.feas_resid, res.nuclear_value, int(res.converged)))
-    if args.truth:
-        truth = _load_matrix(args.truth)
+    if truth is not None:
         ok, rel = recovered(truth, res.Xhat)
         print("relerr=%.6e recovered=%d" % (rel, int(ok)))
     return 0

@@ -254,6 +254,7 @@ def test_solve_unparsable_matrix_or_directory_exit_1(tmp_path, capsys, flag, nam
     (tmp_path / "bad.txt").write_text("1.0 abc\n2.0 3.0\n")
     assert _solve_rank_one(tmp_path, (flag, str(tmp_path / name))) == 1
     assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "xhat.txt").exists()
 
 
 @pytest.mark.parametrize("argv", [
