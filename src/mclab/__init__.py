@@ -24,7 +24,6 @@ from .certificate import (
 )
 from .errors import (
     ConvergenceError,
-    DegenerateInputError,
     DivergenceError,
     GenerationFailureError,
     InjectivityError,
@@ -52,7 +51,7 @@ from .geometry import (
     incoherence,
     tangent_space,
 )
-from .linalg import Rng, SvdFactors, haar_orthogonal, orthonormalize, spectral_norm, svd
+from .linalg import Rng, SvdFactors, haar_orthogonal, spectral_norm, svd
 from .models import (
     BlockModelSpec,
     GroundTruth,

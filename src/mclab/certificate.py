@@ -80,6 +80,7 @@ def _check_pair(T: TangentSpace, S: SampleSet):
 
 def _spectrum_edges(T: TangentSpace, S: SampleSet) -> tuple[np.ndarray, float, float]:
     """The tangent Gram matrix G, with (a, lam_min) from its eigenvalues."""
+    _check_pair(T, S)
     G = T.gram(S.mask)
     lam = np.linalg.eigvalsh(G)
     return G, float(np.max(np.abs(lam / S.p - 1.0))), float(lam[0])
@@ -100,14 +101,23 @@ def _refusal(cls, message: str, a: float, lam_min: float, **kw):
     return exc
 
 
+def _gate(T: TangentSpace, S: SampleSet, cls, what: str):
+    """The builders' entry check: the tangent Gram matrix G with
+    (a, lam_min), or the refusal cls when a >= 1."""
+    G, a, lam_min = _spectrum_edges(T, S)
+    if a >= 1.0:
+        raise _refusal(cls, "deviation %.4f >= 1: %s" % (a, what), a, lam_min)
+    return G, a, lam_min
+
+
 def deviation_stat(T: TangentSpace, S: SampleSet) -> float:
     """The deviation a = ||P_T Q_Omega P_T||, computed exactly.
 
     a < 1 certifies that the sampling operator is injective on T with
-    spectrum of (1/p) P_T P_Omega P_T inside [1 - a, 1 + a]; a >= 1 is
-    guaranteed whenever |Omega| < dim T.
+    spectrum of (1/p) P_T P_Omega P_T inside [1 - a, 1 + a].  Whenever
+    |Omega| < dim T the operator has a zero eigenvalue, so a >= 1 up to
+    rounding: that eigenvalue computes as a tiny number of either sign.
     """
-    _check_pair(T, S)
     return _spectrum_edges(T, S)[1]
 
 
@@ -127,15 +137,14 @@ class CertificateReport:
     a_stat: float
     injective: bool
     lam_min: float
-    method: str
     term_norms: np.ndarray | None = None
     truncated: bool = False
     iters: int = 0
     failure: str | None = None
 
 
-def _finish_report(T, S, Y, a, lam_min, method, term_norms=None,
-                   truncated=False, iters=0) -> CertificateReport:
+def _finish_report(T, S, Y, a, lam_min, term_norms=None, truncated=False,
+                   iters=0) -> CertificateReport:
     off = np.max(np.abs(Y - project_omega(Y, S))) if Y.size else 0.0
     resid = float(np.linalg.norm(T.apply_pt(Y) - T.e))
     ptperp = spectral_norm(T.apply_ptperp(Y))
@@ -143,7 +152,7 @@ def _finish_report(T, S, Y, a, lam_min, method, term_norms=None,
     return CertificateReport(
         Y=Y, resid_t=resid, supp_ok=bool(off == 0.0), ptperp_norm=float(ptperp),
         a_stat=float(a), injective=injective, lam_min=float(lam_min),
-        method=method, term_norms=term_norms, truncated=truncated, iters=iters,
+        term_norms=term_norms, truncated=truncated, iters=iters,
     )
 
 
@@ -155,11 +164,7 @@ def build_certificate_neumann(T: TangentSpace, S: SampleSet, k_max: int = 100,
     not reach the tail tolerance the report is flagged truncated (the
     series still sums; the residual field shows what was achieved).
     """
-    _check_pair(T, S)
-    G, a, lam_min = _spectrum_edges(T, S)
-    if a >= 1.0:
-        raise _refusal(DivergenceError,
-                       "deviation %.4f >= 1: series cannot converge" % a, a, lam_min)
+    G, a, lam_min = _gate(T, S, DivergenceError, "series cannot converge")
     # P_T Q_Omega P_T in tangent coordinates
     step = G / S.p
     step[np.diag_indices_from(step)] -= 1.0
@@ -178,8 +183,7 @@ def build_certificate_neumann(T: TangentSpace, S: SampleSet, k_max: int = 100,
             break
     Y = project_omega(T.embed(total), S) / S.p
     return _finish_report(
-        T, S, Y, a, lam_min, method="neumann(k_max=%d)" % k_max,
-        term_norms=np.array(norms), truncated=truncated,
+        T, S, Y, a, lam_min, term_norms=np.array(norms), truncated=truncated,
         iters=len(norms) - 1,
     )
 
@@ -194,14 +198,9 @@ def build_certificate_cg(T: TangentSpace, S: SampleSet, tol: float = 1e-10,
     residual, and the n x n iterate as its estimate) when max_iter is
     exhausted.
     """
-    _check_pair(T, S)
     if max_iter < 1:
         raise InvalidParameterError("max_iter must be >= 1")
-    G, a, lam_min = _spectrum_edges(T, S)
-    if a >= 1.0:
-        raise _refusal(InjectivityError,
-                       "deviation %.4f >= 1: normal operator is singular on T" % a,
-                       a, lam_min)
+    G, a, lam_min = _gate(T, S, InjectivityError, "normal operator is singular on T")
     R = _sign_coords(T)
     w = np.zeros_like(R)
     D = R.copy()
@@ -230,9 +229,7 @@ def build_certificate_cg(T: TangentSpace, S: SampleSet, tol: float = 1e-10,
                        a, lam_min, residual=float(np.sqrt(rs_new)),
                        estimate=T.embed(w))
     Y = project_omega(T.embed(w), S)
-    return _finish_report(
-        T, S, Y, a, lam_min, method="cg(tol=%g)" % tol, iters=iters,
-    )
+    return _finish_report(T, S, Y, a, lam_min, iters=iters)
 
 
 def try_build_certificate(T: TangentSpace, S: SampleSet, method: str = "neumann",
@@ -253,7 +250,7 @@ def try_build_certificate(T: TangentSpace, S: SampleSet, method: str = "neumann"
         return CertificateReport(
             Y=np.zeros((T.n, T.n)), resid_t=float(np.linalg.norm(T.e)),
             supp_ok=True, ptperp_norm=0.0, a_stat=exc.a_stat,
-            injective=False, lam_min=exc.lam_min, method=method, failure=str(exc),
+            injective=False, lam_min=exc.lam_min, failure=str(exc),
         )
 
 
@@ -392,20 +389,23 @@ class ChainNorms:
     qt: np.ndarray
 
 
+def _chain(X: np.ndarray, S: SampleSet, step, k: int) -> list[np.ndarray]:
+    """[X, Q_Om step(X), ..., (Q_Om step)^k X] for step = T.apply_pt or
+    T.apply_qt."""
+    out = [X]
+    for _ in range(k):
+        out.append(q_omega(step(out[-1]), S))
+    return out
+
+
 def neumann_term_norms(T: TangentSpace, S: SampleSet, k_max: int) -> ChainNorms:
     """Spectral norms of the projection and tangent chains up to k_max <= 8."""
     _check_pair(T, S)
     if not (0 <= k_max <= _MAX_CHAIN_LEN):
         raise InvalidParameterError("k_max must lie in [0, %d]" % _MAX_CHAIN_LEN)
-    Xp = q_omega(T.e, S)
-    Xq = Xp.copy()
-    pt = [spectral_norm(Xp)]
-    qt = [pt[0]]
-    for k in range(1, k_max + 1):
-        Xp = q_omega(T.apply_pt(Xp), S)
-        Xq = q_omega(T.apply_qt(Xq), S)
-        pt.append(spectral_norm(Xp))
-        qt.append(spectral_norm(Xq))
+    QE = q_omega(T.e, S)
+    pt = [spectral_norm(X) for X in _chain(QE, S, T.apply_pt, k_max)]
+    qt = pt[:1] + [spectral_norm(X) for X in _chain(QE, S, T.apply_qt, k_max)[1:]]
     return ChainNorms(pt=np.array(pt), qt=np.array(qt))
 
 
@@ -499,14 +499,10 @@ def check_pt_expansion(T: TangentSpace, S: SampleSet, k: int, trials: int = 3,
     worst = 0.0
     for t in range(trials):
         X = rng.substream(t).gen.standard_normal((T.n, T.n))
-        lhs = q_omega(X, S)
-        for _ in range(k):
-            lhs = q_omega(T.apply_pt(lhs), S)
-        a_chain = [q_omega(X, S)]
-        b_chain = [X]
-        for _ in range(k):
-            a_chain.append(q_omega(T.apply_qt(a_chain[-1]), S))
-            b_chain.append(q_omega(T.apply_qt(b_chain[-1]), S))
+        QX = q_omega(X, S)
+        lhs = _chain(QX, S, T.apply_pt, k)[-1]
+        a_chain = _chain(QX, S, T.apply_qt, k)
+        b_chain = _chain(X, S, T.apply_qt, k)
         rhs = np.zeros_like(X)
         for j, c in enumerate(co.alpha):
             rhs += c * a_chain[j]
@@ -586,10 +582,7 @@ def estimate_trace_moment(gen_model, n: int, r: int, p: float, j: int, k: int,
     vals = np.empty(trials)
     for t in range(trials):
         S = sample_bernoulli(n, p, rng.substream(t + 1))
-        A = q_omega(T.e, S)
-        for _ in range(k):
-            A = q_omega(T.apply_qt(A), S)
-        vals[t] = _trace_gram_power(A, j)
+        vals[t] = _trace_gram_power(_chain(q_omega(T.e, S), S, T.apply_qt, k)[-1], j)
 
     mean = float(np.mean(vals))
     stderr = float(np.std(vals, ddof=1) / np.sqrt(trials))

@@ -12,6 +12,7 @@ InvalidParameterError and exits 1.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import typing
 
@@ -120,6 +121,11 @@ def _cmd_solve(args) -> int:
         sset = sampleset_from_text(fh.read())
     observed = _load_matrix(args.observed)
     truth = _load_matrix(args.truth) if args.truth else None
+    grid = (sset.n1, sset.n2)
+    if truth is not None and truth.shape != grid:
+        raise InvalidParameterError("--truth shape %r vs sample grid %r" % (truth.shape, grid))
+    if os.path.isdir(args.out):  # refused before the solve, not after it
+        raise InvalidParameterError("--out %s is a directory" % args.out)
     params = SolverParams(**{name: getattr(args, name) for name in _SOLVER_FLAGS
                              if getattr(args, name) is not None})
     res = complete(sset, observed, params)

@@ -9,10 +9,6 @@ class InvalidParameterError(MclabError, ValueError):
     """An argument is outside its documented domain."""
 
 
-class DegenerateInputError(MclabError, ValueError):
-    """Input is rank-deficient or otherwise unusable (e.g. dependent columns)."""
-
-
 class NumericFailureError(MclabError, RuntimeError):
     """A numeric construction broke down: a divergent series, a sampling
     operator that is not injective on the tangent space, or an iteration

@@ -38,6 +38,8 @@ from .errors import InvalidParameterError
 from .geometry import incoherence
 from .linalg import Rng
 from .models import (
+    _check_hadamard_order,
+    _check_low_coherence,
     block_model_spec,
     gen_lower_bound_block,
     gen_low_coherence,
@@ -152,7 +154,7 @@ def _validate(cfg: ExperimentConfig):
     if cfg.format not in _WRITERS:
         raise InvalidParameterError("format must be one of %s" % (tuple(_WRITERS),))
     axes = KINDS[cfg.kind][0]
-    for axis in axes:
+    for axis in axes + ("mu0_grid",):  # every kind reads mu0_grid[0] or each mu0
         if not getattr(cfg, axis):
             raise InvalidParameterError("%s must be nonempty for kind=%s"
                                         % (axis, cfg.kind))
@@ -169,6 +171,18 @@ def _validate(cfg: ExperimentConfig):
         raise InvalidParameterError("cert_method must be neumann or cg")
     if cfg.kind == "moments" and cfg.trials < 2:
         raise InvalidParameterError("moments need trials >= 2")
+    # each model's draw-free rules on every (n, r, mu0) a cell draws, before
+    # any cell runs: lower draws blocks at each mu0, the rest cfg.model at mu0_grid[0]
+    model = "block" if cfg.kind == "lower" else cfg.model
+    mu0s = cfg.mu0_grid if cfg.kind == "lower" else cfg.mu0_grid[:1]
+    for n, r in product(cfg.n_grid, cfg.r_grid):
+        if model == "block":
+            for mu0 in mu0s:
+                block_model_spec(n, r, mu0)
+        elif model == "uniform_bounded":
+            _check_hadamard_order(n)
+        elif model == "low_coherence":
+            _check_low_coherence(n, r, cfg.mu_b_cap)
 
 
 @dataclass
@@ -228,6 +242,8 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     """95% Wilson score interval for a binomial rate."""
     if trials < 1:
         raise InvalidParameterError("trials must be >= 1")
+    if not 0 <= successes <= trials:
+        raise InvalidParameterError("successes must lie in [0, trials]")
     z = _WILSON_Z
     phat = successes / trials
     denom = 1.0 + z * z / trials
@@ -322,7 +338,8 @@ def _cert_cell(cfg, idx, n, r, m) -> dict:
         rep = try_build_certificate(T, S, method=cfg.cert_method)
         succ += int(verify_certificate(T, S, rep))
         a_stats.append(rep.a_stat)
-        ptperps.append(rep.ptperp_norm)
+        if rep.failure is None:  # a refused build has no Y to measure
+            ptperps.append(rep.ptperp_norm)
         incs.append(incoherence(T))
     return dict(m=m, p=m / (n * n), successes=succ, mean_a_stat=_mean(a_stats),
                 mean_ptperp=_mean(ptperps), **_mean_mus(incs))

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateInputError, InvalidParameterError
+from .errors import InvalidParameterError
 
 _MASK64 = (1 << 64) - 1
 
@@ -106,25 +106,6 @@ def haar_orthogonal(n: int, rng: Rng) -> np.ndarray:
         raise InvalidParameterError("n must be >= 1")
     G = rng.gen.standard_normal((n, n))
     Q, R = np.linalg.qr(G)
-    d = np.diagonal(R)
-    ph = np.where(d != 0.0, np.sign(d), 1.0)
-    return Q * ph
-
-
-def orthonormalize(A) -> np.ndarray:
-    """Column-orthonormal basis with the same span as A.
-
-    Raises DegenerateInputError when the columns are numerically dependent
-    (smallest singular value below 1e-12 times the largest).
-    """
-    A = _check_finite(A)
-    n, k = A.shape
-    if k > n:
-        raise DegenerateInputError("more columns than rows: %d > %d" % (k, n))
-    s = np.linalg.svd(A, compute_uv=False)
-    if s[0] == 0.0 or s[-1] <= 1e-12 * s[0]:
-        raise DegenerateInputError("columns are numerically rank-deficient")
-    Q, R = np.linalg.qr(A)
     d = np.diagonal(R)
     ph = np.where(d != 0.0, np.sign(d), 1.0)
     return Q * ph

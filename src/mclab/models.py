@@ -18,15 +18,13 @@ extremes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import GenerationFailureError, InvalidParameterError
-from .geometry import TangentSpace, tangent_space
+from .geometry import TangentSpace, _check_factor, tangent_space
 from .linalg import Rng, haar_orthogonal, svd
-
-_ORTHO_TOL = 1e-8
 
 
 @dataclass
@@ -94,19 +92,18 @@ def _check_family(F, n_expected=None) -> np.ndarray:
         raise InvalidParameterError("basis family must be a square matrix")
     if n_expected is not None and F.shape[0] != n_expected:
         raise InvalidParameterError("families must share a dimension")
-    dev = np.max(np.abs(F.T @ F - np.eye(F.shape[0])))
-    if dev > _ORTHO_TOL:
-        raise InvalidParameterError(
-            "basis family is not orthonormal (deviation %.3e)" % dev
-        )
-    return F
+    return _check_factor(F, "basis family")
+
+
+def _check_hadamard_order(n: int) -> None:
+    if n < 1 or (n & (n - 1)) != 0:
+        raise InvalidParameterError("Hadamard family needs n a power of two")
 
 
 def hadamard_family(n: int) -> np.ndarray:
     """Normalized Hadamard basis (n a power of two): entries +-1/sqrt(n),
     so the flatness statistic n * max entry^2 is exactly 1."""
-    if n < 1 or (n & (n - 1)) != 0:
-        raise InvalidParameterError("Hadamard family needs n a power of two")
+    _check_hadamard_order(n)
     H = np.ones((1, 1))
     while H.shape[0] < n:  # Sylvester doubling
         H = np.block([[H, H], [H, -H]])
@@ -172,29 +169,28 @@ def gen_random_orthogonal(n: int, r: int, rng: Rng, sigma=None) -> GroundTruth:
                        model="random_orth", seed=rng.seed)
 
 
+def _check_low_coherence(n: int, r: int, mu_b_cap: float) -> None:
+    if not (1 <= r <= min(n, 8)):
+        raise InvalidParameterError("need 1 <= r <= min(n, 8)")
+    if mu_b_cap < 1.0:
+        raise InvalidParameterError("mu_b_cap below 1 is unsatisfiable")
+
+
 def gen_low_coherence(n: int, r: int, rng: Rng, mu_b_cap: float, sigma=None,
                       max_attempts: int = 1000) -> GroundTruth:
-    """Random orthogonal factors, rejected until n * max entry^2 <= cap.
+    """Random orthogonal draws on substreams 0, 1, ... of rng, rejected
+    until n * max entry^2 <= cap.
 
     r is capped at 8 to keep the acceptance region reachable; the flatness
     statistic concentrates near 2 log(2 n r) as the factors widen, so large
     r with a tight cap would reject forever.
     """
-    if not (1 <= r <= min(n, 8)):
-        raise InvalidParameterError("need 1 <= r <= min(n, 8)")
-    if mu_b_cap < 1.0:
-        raise InvalidParameterError("mu_b_cap below 1 is unsatisfiable")
-    sigma = _check_sigma(sigma, r)
+    _check_low_coherence(n, r, mu_b_cap)
     for attempt in range(max_attempts):
-        sub = rng.substream(attempt)
-        U = haar_orthogonal(n, sub)[:, :r]
-        V = haar_orthogonal(n, sub.substream(1))[:, :r]
-        mu_b = n * max(float(np.max(U ** 2)), float(np.max(V ** 2)))
+        gt = gen_random_orthogonal(n, r, rng.substream(attempt), sigma=sigma)
+        mu_b = n * max(float(np.max(gt.U ** 2)), float(np.max(gt.V ** 2)))
         if mu_b <= mu_b_cap:
-            signs = np.ones(r)
-            return GroundTruth(U=U, V=V, sigma=sigma, signs=signs,
-                               M=_assemble(U, V, sigma, signs),
-                               model="low_coherence", seed=rng.seed, mu_b=mu_b)
+            return replace(gt, model="low_coherence", mu_b=mu_b)
     raise GenerationFailureError(
         "no draw met mu_b <= %g in %d attempts" % (mu_b_cap, max_attempts)
     )

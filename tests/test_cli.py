@@ -248,10 +248,18 @@ def _solve_rank_one(tmp_path, extra=(), bad_entry=False) -> int:
 
 
 @pytest.mark.parametrize("flag,name", [("--observed", "bad.txt"), ("--truth", "bad.txt"),
-                                       ("--out", ".")], ids=["observed", "truth", "out_dir"])
-def test_solve_unparsable_matrix_or_directory_exit_1(tmp_path, capsys, flag, name):
-    # the later flag wins over _solve_rank_one's own --observed and --out
+                                       ("--truth", "2x2.txt"), ("--out", ".")],
+                         ids=["observed", "truth", "truth_shape", "out_dir"])
+def test_solve_unparsable_matrix_or_directory_exit_1(tmp_path, capsys, monkeypatch,
+                                                     flag, name):
+    # each is refused before the solve; the later flag wins over
+    # _solve_rank_one's own --observed and --out
+    def no_solve(*args, **kwargs):
+        raise AssertionError("complete ran before the refusal")
+
+    monkeypatch.setattr(mclab.cli, "complete", no_solve)
     (tmp_path / "bad.txt").write_text("1.0 abc\n2.0 3.0\n")
+    (tmp_path / "2x2.txt").write_text("1.0 0.0\n0.0 1.0\n")  # the grid is 8x8
     assert _solve_rank_one(tmp_path, (flag, str(tmp_path / name))) == 1
     assert "error:" in capsys.readouterr().err
     assert not (tmp_path / "xhat.txt").exists()

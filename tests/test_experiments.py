@@ -136,6 +136,25 @@ def test_validation_failures_surface():
         run(_phase_cfg(kind="equiv", equiv_p="3m"))
     with pytest.raises(InvalidParameterError):
         run(_phase_cfg(format="pdf"))  # refused before any cell runs
+    with pytest.raises(InvalidParameterError):
+        run(_phase_cfg(mu0_grid=()))  # every kind reads mu0_grid[0]
+
+
+@pytest.mark.parametrize("kw", [
+    dict(model="uniform_bounded", n_grid=(8, 12)),  # 12 is no power of two
+    dict(model="block", r_grid=(1, 5)),  # floor(8 / (2 * 5)) = 0 rows per block
+    dict(model="low_coherence", n_grid=(12,), r_grid=(2, 9)),  # r > 8
+    dict(kind="lower", model="block", n_grid=(16,), r_grid=(2,),
+         mu0_grid=(2.0, 16.0), p_grid=(0.3,)),  # floor(16 / (16 * 2)) = 0
+], ids=["uniform_bounded", "block", "low_coherence", "lower"])
+def test_undrawable_cell_is_refused_before_any_cell_runs(monkeypatch, kw):
+    def no_cell(*args, **kwargs):
+        raise AssertionError("a cell ran before the config was refused")
+
+    monkeypatch.setattr(experiments, "complete", no_cell)
+    monkeypatch.setattr(experiments, "sample_bernoulli", no_cell)
+    with pytest.raises(InvalidParameterError):
+        run(_phase_cfg(**kw))
 
 
 # ---------------------------------------------------------------- wilson
@@ -151,8 +170,9 @@ def test_wilson_interval_reference_value_and_shape():
     for s in range(11):
         lo, hi = wilson_interval(s, 10)
         assert 0.0 <= lo <= s / 10 <= hi <= 1.0
-    with pytest.raises(InvalidParameterError):
-        wilson_interval(0, 0)
+    for succ, trials in ((0, 0), (7, 5), (-1, 5)):
+        with pytest.raises(InvalidParameterError):
+            wilson_interval(succ, trials)
 
 
 # ------------------------------------------------------------ CSV schema
@@ -271,6 +291,31 @@ def test_certificate_rows_carry_spectral_fields():
     with pytest.raises(InvalidParameterError):
         run(ExperimentConfig(kind="cert", n_grid=(8,), r_grid=(1,),
                              m_grid=(30,), cert_method="qr"))
+
+
+def test_cert_mean_ptperp_averages_only_built_certificates(monkeypatch):
+    # a refused build has no certificate, so its report's ptperp_norm of 0.0
+    # must not pull the mean down; m=50 refuses one trial of three, m=5 all
+    reports = []
+    build = experiments.try_build_certificate
+
+    def recorded(*args, **kwargs):
+        reports.append(build(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(experiments, "try_build_certificate", recorded)
+    cfg = dict(KIND_CONFIGS["cert_cg"], m_grid=(50,))
+    row = run(ExperimentConfig(**cfg))[0]
+    built = [rep.ptperp_norm for rep in reports if rep.failure is None]
+    assert 0 < len(built) < len(reports) == row.trials
+    assert row.mean_ptperp == np.mean(built)
+    assert row.mean_a_stat == np.mean([rep.a_stat for rep in reports])
+
+    reports.clear()
+    row = run(ExperimentConfig(**dict(cfg, m_grid=(5,))))[0]
+    assert all(rep.failure is not None for rep in reports)
+    assert row.mean_ptperp is None and row.successes == 0
+    assert rows_to_csv([row]).splitlines()[1].split(",")[FIELDS.index("mean_ptperp")] == ""
 
 
 def test_lower_bound_row_algebra():

@@ -1,13 +1,13 @@
-"""Matrix-core: canonical SVD, exact spectral norm, Haar draws,
-orthonormalization, and the seeded stream layout everything else builds on."""
+"""Matrix-core: canonical SVD, exact spectral norm, Haar draws, and the
+seeded stream layout everything else builds on."""
 
 import math
 
 import numpy as np
 import pytest
 
-from mclab.errors import DegenerateInputError, InvalidParameterError
-from mclab.linalg import Rng, haar_orthogonal, orthonormalize, spectral_norm, svd
+from mclab.errors import InvalidParameterError
+from mclab.linalg import Rng, haar_orthogonal, spectral_norm, svd
 
 
 def _rand(n, m, seed):
@@ -121,28 +121,3 @@ def test_haar_first_column_uniform_on_sphere():
     ref = math.sqrt(2.0 * math.log(2 * n) / n)
     q99 = float(np.quantile(peaks, 0.99))
     assert ref / 2 <= q99 <= 2 * ref
-
-
-# ----------------------------------------------------- orthonormalize
-
-def test_orthonormalize_identity_on_orthonormal_input():
-    Q = haar_orthogonal(8, Rng(12, 0))[:, :3]
-    W = orthonormalize(Q)
-    np.testing.assert_allclose(W.T @ W, np.eye(3), atol=1e-12)
-    # same column space
-    np.testing.assert_allclose(W @ (W.T @ Q), Q, atol=1e-10)
-
-
-def test_orthonormalize_fixes_scaled_skewed_input():
-    A = _rand(10, 4, 4) @ np.diag([1.0, 10.0, 0.1, 5.0])
-    W = orthonormalize(A)
-    np.testing.assert_allclose(W.T @ W, np.eye(4), atol=1e-12)
-    # projector onto span(A) is preserved
-    P_a = A @ np.linalg.pinv(A)
-    np.testing.assert_allclose(W @ W.T, P_a, atol=1e-8)
-
-
-def test_orthonormalize_rejects_rank_deficient():
-    A = np.ones((6, 2))
-    with pytest.raises(DegenerateInputError):
-        orthonormalize(A)
