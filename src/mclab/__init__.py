@@ -51,7 +51,7 @@ from .geometry import (
     incoherence,
     tangent_space,
 )
-from .linalg import Rng, SvdFactors, haar_orthogonal, spectral_norm, svd
+from .linalg import Rng, haar_orthogonal, spectral_norm
 from .models import (
     BlockModelSpec,
     GroundTruth,

@@ -128,12 +128,14 @@ class CertificateReport:
     term_norms holds the Frobenius norms of the Neumann series terms when
     the series builder produced the report; iters counts conjugate-gradient
     steps for the solve builder.  failure is None for a completed build.
+    A refused build (failure set) has no certificate to measure: its Y,
+    resid_t and ptperp_norm are None and supp_ok is False.
     """
 
-    Y: np.ndarray
-    resid_t: float
+    Y: np.ndarray | None
+    resid_t: float | None
     supp_ok: bool
-    ptperp_norm: float
+    ptperp_norm: float | None
     a_stat: float
     injective: bool
     lam_min: float
@@ -237,9 +239,9 @@ def try_build_certificate(T: TangentSpace, S: SampleSet, method: str = "neumann"
     """Build a certificate, degrading gracefully on divergence.
 
     When the strict builders refuse (deviation >= 1, singular operator, or
-    stalled solve) this returns an uncertifiable report around the zero
-    matrix instead of raising, which is what the experiment drivers want.
-    Its a_stat and lam_min are the ones the refused build computed.
+    stalled solve) this returns an uncertifiable report with no certificate
+    instead of raising, which is what the experiment drivers want.  Its
+    a_stat and lam_min are the ones the refused build computed.
     """
     builder = {"neumann": build_certificate_neumann, "cg": build_certificate_cg}
     if method not in builder:
@@ -248,9 +250,9 @@ def try_build_certificate(T: TangentSpace, S: SampleSet, method: str = "neumann"
         return builder[method](T, S, **kw)
     except (DivergenceError, InjectivityError, ConvergenceError) as exc:
         return CertificateReport(
-            Y=np.zeros((T.n, T.n)), resid_t=float(np.linalg.norm(T.e)),
-            supp_ok=True, ptperp_norm=0.0, a_stat=exc.a_stat,
-            injective=False, lam_min=exc.lam_min, failure=str(exc),
+            Y=None, resid_t=None, supp_ok=False, ptperp_norm=None,
+            a_stat=exc.a_stat, injective=False, lam_min=exc.lam_min,
+            failure=str(exc),
         )
 
 

@@ -56,6 +56,16 @@ def _add_experiment_flags(sub):
         sub.add_argument("--" + key, help="%s; same as --set %s=VALUE" % (blurb, key))
 
 
+def _check_out(path: str) -> str:
+    """Refuse an output path that cannot be opened for writing (a directory,
+    or a file in a directory that does not exist) before any work is done."""
+    if os.path.isdir(path):
+        raise InvalidParameterError("--out %s is a directory" % path)
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise InvalidParameterError("--out %s: no such directory" % path)
+    return path
+
+
 def _cmd_experiment(kind: str, args) -> int:
     cfg = ExperimentConfig()
     if args.config:
@@ -69,8 +79,8 @@ def _cmd_experiment(kind: str, args) -> int:
             "config kind %r conflicts with subcommand %r" % (cfg.kind, kind)
         )
     cfg.kind = kind
+    out = _check_out(args.out or cfg.out or (kind + "." + cfg.format))
     rows = run(cfg)
-    out = args.out or cfg.out or (kind + "." + cfg.format)
     emit(rows, out, cfg.format)
     print("wrote %d rows to %s" % (len(rows), out))
     return 0
@@ -93,6 +103,7 @@ def _parse_sigma(text):
 
 def _cmd_gen(args) -> int:
     _typed(args, n=int, r=int, seed=int, mu0=float, mu_b_cap=float)
+    _check_out(args.out)
     gt = gen_ground_truth(args.model, args.n, args.r, Rng(args.seed), args.mu0,
                           args.mu_b_cap, sigma=_parse_sigma(args.sigma))
     with open(args.out, "w") as fh:
@@ -124,8 +135,7 @@ def _cmd_solve(args) -> int:
     grid = (sset.n1, sset.n2)
     if truth is not None and truth.shape != grid:
         raise InvalidParameterError("--truth shape %r vs sample grid %r" % (truth.shape, grid))
-    if os.path.isdir(args.out):  # refused before the solve, not after it
-        raise InvalidParameterError("--out %s is a directory" % args.out)
+    _check_out(args.out)  # refused before the solve, not after it
     params = SolverParams(**{name: getattr(args, name) for name in _SOLVER_FLAGS
                              if getattr(args, name) is not None})
     res = complete(sset, observed, params)

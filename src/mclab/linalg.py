@@ -49,18 +49,6 @@ class Rng:
         return Rng(self.seed, (self.stream << 20) + (k & 0xFFFFF))
 
 
-@dataclass
-class SvdFactors:
-    """Thin SVD ``A ~= U @ diag(S) @ V.T`` with S sorted nonincreasing."""
-
-    U: np.ndarray
-    S: np.ndarray
-    V: np.ndarray
-
-    def assemble(self) -> np.ndarray:
-        return (self.U * self.S) @ self.V.T
-
-
 def _check_finite(A: np.ndarray) -> np.ndarray:
     A = np.asarray(A, dtype=float)
     if A.ndim != 2:
@@ -68,24 +56,6 @@ def _check_finite(A: np.ndarray) -> np.ndarray:
     if not np.isfinite(A).all():
         raise InvalidParameterError("matrix contains non-finite entries")
     return A
-
-
-def svd(A) -> SvdFactors:
-    """Thin SVD with a deterministic sign convention.
-
-    Each left singular vector is flipped (together with its partner on the
-    right) so that its largest-magnitude entry is positive; ties break at
-    the lowest index.  This makes factorizations reproducible across runs.
-    """
-    A = _check_finite(A)
-    U, S, Vt = np.linalg.svd(A, full_matrices=False)
-    V = Vt.T
-    for k in range(S.shape[0]):
-        j = int(np.argmax(np.abs(U[:, k])))
-        if U[j, k] < 0.0:
-            U[:, k] = -U[:, k]
-            V[:, k] = -V[:, k]
-    return SvdFactors(U=U, S=S, V=V)
 
 
 def spectral_norm(A) -> float:

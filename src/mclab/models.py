@@ -19,35 +19,40 @@ extremes:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
 from .errors import GenerationFailureError, InvalidParameterError
 from .geometry import TangentSpace, _check_factor, tangent_space
-from .linalg import Rng, haar_orthogonal, svd
+from .linalg import Rng, haar_orthogonal
 
 
 @dataclass
 class GroundTruth:
-    """A planted matrix M = U diag(signs * sigma) V^T with its factors.
+    """A planted matrix M = U diag(signs * sigma) V^T, held as its factors.
 
     sigma is positive and nonincreasing; signs is +-1 per component.  The
     sign information lives in `signs`, never folded into sigma, so the
     factor columns stay exactly the family columns they were drawn from.
+    M is not stored: it is assembled from the factors on first read.
     """
 
     U: np.ndarray
     V: np.ndarray
     sigma: np.ndarray
     signs: np.ndarray
-    M: np.ndarray
     model: str
     seed: int = 0
     mu_b: float | None = None
 
+    @cached_property
+    def M(self) -> np.ndarray:
+        return (self.U * (self.signs * self.sigma)) @ self.V.T
+
     @property
     def n(self) -> int:
-        return self.M.shape[0]
+        return self.U.shape[0]
 
     @property
     def r(self) -> int:
@@ -82,10 +87,6 @@ def _check_sigma(sigma, r: int) -> np.ndarray:
     return sigma
 
 
-def _assemble(U, V, sigma, signs) -> np.ndarray:
-    return (U * (signs * sigma)) @ V.T
-
-
 def _check_family(F, n_expected=None) -> np.ndarray:
     F = np.asarray(F, dtype=float)
     if F.ndim != 2 or F.shape[0] != F.shape[1]:
@@ -111,13 +112,12 @@ def hadamard_family(n: int) -> np.ndarray:
 
 
 def gen_uniformly_bounded(fam_u, fam_v, r: int, rng: Rng, sigma=None,
-                          coupled: bool = False, with_replacement: bool = False,
+                          coupled: bool = False,
                           random_signs: bool = True) -> GroundTruth:
-    """Pick r columns from each family and attach signed singular values.
+    """Pick r distinct columns from each family and attach signed singular
+    values.
 
     coupled=True reuses the left selection on the right (beta = alpha).
-    with_replacement=True allows repeated columns; the assembled sum is
-    then re-factored by an SVD, so the returned rank can drop below r.
     random_signs=False disables the sign flips (only useful to demonstrate
     in tests why they are needed).
     """
@@ -129,31 +129,15 @@ def gen_uniformly_bounded(fam_u, fam_v, r: int, rng: Rng, sigma=None,
     sigma = _check_sigma(sigma, r)
 
     gen = rng.gen
-    alpha = gen.choice(n, size=r, replace=with_replacement)
-    beta = alpha if coupled else gen.choice(n, size=r, replace=with_replacement)
+    alpha = gen.choice(n, size=r, replace=False)
+    beta = alpha if coupled else gen.choice(n, size=r, replace=False)
     if random_signs:
         signs = gen.integers(0, 2, size=r) * 2.0 - 1.0
     else:
         signs = np.ones(r)
 
-    U = fam_u[:, alpha]
-    V = fam_v[:, beta]
-    M = _assemble(U, V, sigma, signs)
-
-    dup = len(set(alpha.tolist())) < r or len(set(np.asarray(beta).tolist())) < r
-    if with_replacement and dup:
-        # repeated selections break column orthonormality; re-factor the sum
-        f = svd(M)
-        keep = f.S > 1e-12 * max(float(f.S[0]), 1e-300)
-        if not keep.any():
-            raise GenerationFailureError("duplicate terms cancelled to zero")
-        return GroundTruth(
-            U=f.U[:, keep], V=f.V[:, keep], sigma=f.S[keep],
-            signs=np.ones(int(keep.sum())), M=M,
-            model="uniform_bounded", seed=rng.seed,
-        )
-    return GroundTruth(U=U, V=V, sigma=sigma, signs=signs, M=M,
-                       model="uniform_bounded", seed=rng.seed)
+    return GroundTruth(U=fam_u[:, alpha], V=fam_v[:, beta], sigma=sigma,
+                       signs=signs, model="uniform_bounded", seed=rng.seed)
 
 
 def gen_random_orthogonal(n: int, r: int, rng: Rng, sigma=None) -> GroundTruth:
@@ -163,9 +147,7 @@ def gen_random_orthogonal(n: int, r: int, rng: Rng, sigma=None) -> GroundTruth:
     sigma = _check_sigma(sigma, r)
     U = haar_orthogonal(n, rng)[:, :r]
     V = haar_orthogonal(n, rng.substream(1))[:, :r]
-    signs = np.ones(r)
-    return GroundTruth(U=U, V=V, sigma=sigma, signs=signs,
-                       M=_assemble(U, V, sigma, signs),
+    return GroundTruth(U=U, V=V, sigma=sigma, signs=np.ones(r),
                        model="random_orth", seed=rng.seed)
 
 
@@ -243,12 +225,9 @@ def gen_lower_bound_block(bspec: BlockModelSpec, rng: Rng | None = None,
     U = np.zeros((n, r))
     for k, (lo, hi) in enumerate(bspec.blocks):
         U[lo:hi, k] = 1.0 / np.sqrt(ell)
-    signs = np.ones(r)
     seed = rng.seed if rng is not None else 0
-    return GroundTruth(U=U, V=U.copy(), sigma=sigma, signs=signs,
-                       M=_assemble(U, U, sigma, signs),
-                       model="block", seed=seed,
-                       mu_b=float(n / ell))
+    return GroundTruth(U=U, V=U.copy(), sigma=sigma, signs=np.ones(r),
+                       model="block", seed=seed, mu_b=float(n / ell))
 
 
 def gt_to_text(gt: GroundTruth) -> str:
@@ -268,7 +247,7 @@ def gt_to_text(gt: GroundTruth) -> str:
 
 
 def gt_from_text(text: str) -> GroundTruth:
-    """Inverse of gt_to_text; M is reassembled from the stored factors."""
+    """Inverse of gt_to_text."""
     lines = [ln.rstrip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln.strip()]
     if not lines or not lines[0].startswith("#"):
@@ -309,5 +288,4 @@ def gt_from_text(text: str) -> GroundTruth:
     if sigma.shape != (r,) or signs.shape != (r,):
         raise InvalidParameterError("sigma/signs length mismatch")
     return GroundTruth(U=U, V=V, sigma=sigma, signs=signs,
-                       M=_assemble(U, V, sigma, signs),
                        model=model, seed=seed, mu_b=mu_b)

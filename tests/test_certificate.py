@@ -256,6 +256,9 @@ def test_refused_build_computes_the_spectrum_once(monkeypatch):
         calls.clear()
         rep = try_build_certificate(T, S, method=method, **kw)
         assert rep.failure is not None and len(calls) == 1
+        # no certificate was built, so none of its measurements is made up
+        assert rep.Y is None and rep.resid_t is None and rep.ptperp_norm is None
+        assert rep.supp_ok is False and rep.injective is False
         assert rep.a_stat == deviation_stat(T, S)
         assert abs(rep.lam_min - _dense_a(T, S)[1]) <= 1e-12
 

@@ -277,6 +277,16 @@ def test_directory_in_place_of_a_file_exit_1(tmp_path, capsys, argv):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("out", ["{dir}", "{dir}/missing/x.csv"], ids=["dir", "no_parent"])
+def test_experiment_out_refused_before_the_sweep(tmp_path, capsys, monkeypatch, out):
+    def no_run(cfg):
+        raise AssertionError("run started before --out was checked")
+
+    monkeypatch.setattr(mclab.cli, "run", no_run)
+    assert main(["phase", "--out", out.format(dir=tmp_path)]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
 def test_solve_non_finite_observed_entry_exit_1(tmp_path, capsys):
     assert _solve_rank_one(tmp_path, bad_entry=True) == 1
     assert "error:" in capsys.readouterr().err

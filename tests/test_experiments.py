@@ -294,8 +294,8 @@ def test_certificate_rows_carry_spectral_fields():
 
 
 def test_cert_mean_ptperp_averages_only_built_certificates(monkeypatch):
-    # a refused build has no certificate, so its report's ptperp_norm of 0.0
-    # must not pull the mean down; m=50 refuses one trial of three, m=5 all
+    # a refused build has no certificate, so its report's ptperp_norm (None)
+    # must stay out of the mean; m=50 refuses one trial of three, m=5 all
     reports = []
     build = experiments.try_build_certificate
 

@@ -1,4 +1,4 @@
-"""Matrix-core: canonical SVD, exact spectral norm, Haar draws, and the
+"""Matrix-core: exact spectral norm, Haar draws, and the
 seeded stream layout everything else builds on."""
 
 import math
@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from mclab.errors import InvalidParameterError
-from mclab.linalg import Rng, haar_orthogonal, spectral_norm, svd
+from mclab.linalg import Rng, haar_orthogonal, spectral_norm
 
 
 def _rand(n, m, seed):
@@ -51,37 +51,6 @@ def test_rng_substream_distinct_from_parent_and_siblings():
                                   base.substream(0).gen.random(4))
 
 
-# ---------------------------------------------------------------- svd
-
-def test_svd_reconstructs_and_orders():
-    A = _rand(9, 9, 0)
-    F = svd(A)
-    np.testing.assert_allclose(F.assemble(), A, atol=1e-10)
-    assert np.all(np.diff(F.S) <= 1e-12)
-    np.testing.assert_allclose(F.U.T @ F.U, np.eye(9), atol=1e-10)
-    np.testing.assert_allclose(F.V.T @ F.V, np.eye(9), atol=1e-10)
-
-
-def test_svd_sign_canonical_under_column_flips():
-    # flipping signs of (u_k, v_k) together leaves A unchanged; the
-    # canonical form must not depend on which representative lapack picks
-    A = _rand(7, 5, 1)
-    F = svd(A)
-    for k in range(F.U.shape[1]):
-        col = F.U[:, k]
-        assert col[np.argmax(np.abs(col))] > 0
-    G = svd(A.copy())
-    np.testing.assert_array_equal(F.U, G.U)
-    np.testing.assert_array_equal(F.V, G.V)
-
-
-def test_svd_rejects_nonfinite():
-    A = np.eye(3)
-    A[1, 1] = np.nan
-    with pytest.raises(InvalidParameterError):
-        svd(A)
-
-
 # ------------------------------------------------------ spectral_norm
 
 def test_spectral_norm_matches_svd_on_random_8x8():
@@ -95,6 +64,13 @@ def test_spectral_norm_zero_and_rank_one():
     u = np.arange(1.0, 5.0)
     A = np.outer(u, u)
     np.testing.assert_allclose(spectral_norm(A), float(u @ u), rtol=1e-8)
+
+
+def test_spectral_norm_rejects_nonfinite():
+    A = np.eye(3)
+    A[1, 1] = np.nan
+    with pytest.raises(InvalidParameterError):
+        spectral_norm(A)
 
 
 def test_spectral_norm_degenerate_gap():
