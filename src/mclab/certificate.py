@@ -147,7 +147,7 @@ class CertificateReport:
 
 def _finish_report(T, S, Y, a, lam_min, term_norms=None, truncated=False,
                    iters=0) -> CertificateReport:
-    off = np.max(np.abs(Y - project_omega(Y, S))) if Y.size else 0.0
+    off = np.max(np.abs(Y - project_omega(Y, S)))
     resid = float(np.linalg.norm(T.apply_pt(Y) - T.e))
     ptperp = spectral_norm(T.apply_ptperp(Y))
     injective = bool(a < 1.0 and lam_min >= S.p * (1.0 - a) / 2.0)

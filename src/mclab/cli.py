@@ -43,8 +43,7 @@ _SOLVER_FLAGS = {name: (typing.get_args(hint) or (hint,))[0]
 
 # config keys with a shorthand flag: --KEY VALUE is --set KEY=VALUE, applied
 # after every --set
-_SHORTHANDS = {"seed": "base seed", "threads": "worker threads (cells)",
-               "format": "output format"}
+_SHORTHANDS = {"seed": "base seed", "format": "output format"}
 
 
 def _add_experiment_flags(sub):

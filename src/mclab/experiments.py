@@ -3,13 +3,12 @@
 Every run kind (phase sweep, certificate sweep, coverage lower bound,
 sampling-model equivalence, trace moments) goes through one cell loop
 behind run(): it validates the config, builds the kind's cells from the
-table KINDS (grid axes and one function that runs a cell's trials),
-distributes whole cells over threads, and times each cell and fills the
-common columns of its row.  Every kind emits the same wide row type;
-columns that do not apply to a kind stay empty.  Rows come out in sorted
-cell order and all randomness is derived from (seed, cell index, trial,
-slot), so reruns of the same config are byte-identical -- including across
-thread counts, since threading only distributes whole cells.
+table KINDS (grid axes and one function that runs a cell's trials), runs
+the cells in order, and times each cell and fills the common columns of
+its row.  Every kind emits the same wide row type; columns that do not
+apply to a kind stay empty.  Rows come out in sorted cell order and all
+randomness is derived from (seed, cell index, trial, slot), so reruns of
+the same config are byte-identical.
 
 Paired designs fall out of the stream layout: phase, cert and equiv draw
 each trial's ground truth and observation set through one helper, so a
@@ -21,7 +20,6 @@ from __future__ import annotations
 
 import time
 import typing
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from functools import partial
 from itertools import product
@@ -88,7 +86,7 @@ class ExperimentConfig:
     solver_max_iter: int = 3000
     equiv_p: str = "m"
     record_timing: int = 0
-    threads: int = 1
+    threads: int = 1  # only 1 is accepted; perfbench/workloads.py still sets it
     out: str = ""
     format: str = "csv"
 
@@ -143,14 +141,15 @@ def _validate(cfg: ExperimentConfig):
         raise InvalidParameterError("model must be one of %s" % (MODELS,))
     if cfg.sampling not in ("bernoulli", "uniform"):
         raise InvalidParameterError("sampling must be bernoulli or uniform")
-    if cfg.trials < 1:
-        raise InvalidParameterError("trials must be >= 1")
+    # a trial index is 21 bits of _stream and moments derive substream(t + 1)
+    if not 1 <= cfg.trials < 1 << 20:
+        raise InvalidParameterError("trials must lie in [1, 2**20)")
     if cfg.equiv_p not in ("m", "2m"):
         raise InvalidParameterError("equiv_p must be 'm' or '2m'")
     if not 0.0 < cfg.delta < 1.0:
         raise InvalidParameterError("delta must lie in (0, 1)")
-    if cfg.threads < 1:
-        raise InvalidParameterError("threads must be >= 1")
+    if cfg.threads != 1:
+        raise InvalidParameterError("threads must be 1: cells run in order")
     if cfg.format not in _WRITERS:
         raise InvalidParameterError("format must be one of %s" % (tuple(_WRITERS),))
     axes = KINDS[cfg.kind][0]
@@ -270,8 +269,7 @@ def gen_ground_truth(model: str, n: int, r: int, rng: Rng, mu0: float,
     if model == "random_orth":
         return gen_random_orthogonal(n, r, rng, sigma=sigma)
     if model == "uniform_bounded":
-        fam = hadamard_family(n)
-        return gen_uniformly_bounded(fam, fam, r, rng, sigma=sigma)
+        return gen_uniformly_bounded(hadamard_family(n), r, rng, sigma=sigma)
     if model == "low_coherence":
         return gen_low_coherence(n, r, rng, mu_b_cap=mu_b_cap, sigma=sigma)
     if model == "block":
@@ -462,12 +460,7 @@ def run(cfg: ExperimentConfig) -> list[ExperimentRow]:
     """Run the sweep of cfg.kind: one row per grid cell, in sorted cell order."""
     _validate(cfg)
     axes, cell_fn, _ = KINDS[cfg.kind]
-    cells = list(product(*(sorted(getattr(cfg, axis)) for axis in axes)))
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            futures = [pool.submit(_run_cell, cfg, cell_fn, idx, cell)
-                       for idx, cell in enumerate(cells)]
-            return [f.result() for f in futures]
+    cells = product(*(sorted(getattr(cfg, axis)) for axis in axes))
     return [_run_cell(cfg, cell_fn, idx, cell) for idx, cell in enumerate(cells)]
 
 
@@ -476,8 +469,6 @@ def _fmt(value) -> str:
         return ""
     if isinstance(value, str):
         return value
-    if isinstance(value, (bool, np.bool_)):
-        return str(int(value))
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return repr(float(value))

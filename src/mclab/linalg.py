@@ -41,12 +41,14 @@ class Rng:
         return self._gen
 
     def substream(self, k: int) -> "Rng":
-        """Child stream ``k`` (< 2**20) of this stream.
+        """Child stream ``k``, 0 <= k < 2**20, of this stream.
 
         Callers that need many independent streams should manage stream
         indices directly; this is a convenience for per-trial loops.
         """
-        return Rng(self.seed, (self.stream << 20) + (k & 0xFFFFF))
+        if not 0 <= k < 1 << 20:
+            raise InvalidParameterError("substream index must lie in [0, 2**20)")
+        return Rng(self.seed, (self.stream << 20) + k)
 
 
 def _check_finite(A: np.ndarray) -> np.ndarray:

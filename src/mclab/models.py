@@ -28,7 +28,7 @@ from .geometry import TangentSpace, _check_factor, tangent_space
 from .linalg import Rng, haar_orthogonal
 
 
-@dataclass
+@dataclass(eq=False)
 class GroundTruth:
     """A planted matrix M = U diag(signs * sigma) V^T, held as its factors.
 
@@ -36,6 +36,7 @@ class GroundTruth:
     sign information lives in `signs`, never folded into sigma, so the
     factor columns stay exactly the family columns they were drawn from.
     M is not stored: it is assembled from the factors on first read.
+    == is identity: comparing the factor arrays has no single truth value.
     """
 
     U: np.ndarray
@@ -87,12 +88,10 @@ def _check_sigma(sigma, r: int) -> np.ndarray:
     return sigma
 
 
-def _check_family(F, n_expected=None) -> np.ndarray:
+def _check_family(F) -> np.ndarray:
     F = np.asarray(F, dtype=float)
     if F.ndim != 2 or F.shape[0] != F.shape[1]:
         raise InvalidParameterError("basis family must be a square matrix")
-    if n_expected is not None and F.shape[0] != n_expected:
-        raise InvalidParameterError("families must share a dimension")
     return _check_factor(F, "basis family")
 
 
@@ -111,19 +110,18 @@ def hadamard_family(n: int) -> np.ndarray:
     return H / np.sqrt(n)
 
 
-def gen_uniformly_bounded(fam_u, fam_v, r: int, rng: Rng, sigma=None,
+def gen_uniformly_bounded(fam, r: int, rng: Rng, sigma=None,
                           coupled: bool = False,
                           random_signs: bool = True) -> GroundTruth:
-    """Pick r distinct columns from each family and attach signed singular
-    values.
+    """Pick r distinct columns of the family for each factor and attach
+    signed singular values.
 
     coupled=True reuses the left selection on the right (beta = alpha).
     random_signs=False disables the sign flips (only useful to demonstrate
     in tests why they are needed).
     """
-    fam_u = _check_family(fam_u)
-    fam_v = _check_family(fam_v, n_expected=fam_u.shape[0])
-    n = fam_u.shape[0]
+    fam = _check_family(fam)
+    n = fam.shape[0]
     if not (1 <= r <= n):
         raise InvalidParameterError("need 1 <= r <= n")
     sigma = _check_sigma(sigma, r)
@@ -136,7 +134,7 @@ def gen_uniformly_bounded(fam_u, fam_v, r: int, rng: Rng, sigma=None,
     else:
         signs = np.ones(r)
 
-    return GroundTruth(U=fam_u[:, alpha], V=fam_v[:, beta], sigma=sigma,
+    return GroundTruth(U=fam[:, alpha], V=fam[:, beta], sigma=sigma,
                        signs=signs, model="uniform_bounded", seed=rng.seed)
 
 

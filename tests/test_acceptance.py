@@ -197,10 +197,10 @@ def test_acceptance_08_incoherence_statistics():
             hits += 1
     fam = hadamard_family(n)
     mu2_off = incoherence(
-        gen_uniformly_bounded(fam, fam, r, Rng(1081, 0), coupled=True,
+        gen_uniformly_bounded(fam, r, Rng(1081, 0), coupled=True,
                               random_signs=False).tangent_space()).mu2
     mu2_on = [incoherence(
-        gen_uniformly_bounded(fam, fam, r, Rng(1081, 1 + t), coupled=True,
+        gen_uniformly_bounded(fam, r, Rng(1081, 1 + t), coupled=True,
                               random_signs=True).tangent_space()).mu2
         for t in range(20)]
     med_on = float(np.median(mu2_on))

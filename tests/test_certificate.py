@@ -13,6 +13,7 @@ from mclab.certificate import (
     _NULL_TOL,
     _REFUTE_MARGIN,
     TANGENT_TRANSFER_SIGMA0,
+    CertificateReport,
     build_certificate_cg,
     build_certificate_neumann,
     check_pt_expansion,
@@ -473,6 +474,33 @@ def test_verify_rejects_undersampled_even_with_good_numbers():
     assert small.size < T.dim
     rep = try_build_certificate(T, small, method="cg")
     assert not verify_certificate(T, small, rep)
+    # a report that passes every other condition
+    good = CertificateReport(Y=np.zeros((12, 12)), resid_t=0.0, supp_ok=True,
+                             ptperp_norm=0.5, a_stat=0.5, injective=True, lam_min=0.5)
+    assert verify_certificate(T, _full(12), good)
+    assert not verify_certificate(T, small, good)
+
+
+@pytest.mark.parametrize("call", [
+    lambda T, S: deviation_stat(T, sample_bernoulli(10, 0.5, Rng(0))),
+    lambda T, S: decide(T, sample_bernoulli(12, 0.5, Rng(0), n2=10)),
+    lambda T, S: build_certificate_neumann(T, _empty(12)),
+    lambda T, S: build_certificate_cg(T, S, max_iter=0),
+    lambda T, S: try_build_certificate(T, S, method="qr"),
+    lambda T, S: neumann_coeffs(-1, 0.3, 0.5),
+    lambda T, S: neumann_coeffs(1, 0.3, 0.0),
+    lambda T, S: neumann_coeffs(1, 0.3, 1.5),
+    lambda T, S: neumann_coeffs(1, -0.1, 0.5),
+    lambda T, S: neumann_coeffs(1, 1.1, 0.5),
+    lambda T, S: check_pt_expansion(T, S, -1),
+    lambda T, S: check_pt_expansion(T, S, 9),
+], ids=["grid", "grid_n2", "empty", "cg_max_iter", "method", "coeffs_k", "coeffs_p0",
+        "coeffs_p_gt_1", "coeffs_rho_neg", "coeffs_rho_gt_1", "expansion_k_neg",
+        "expansion_k_gt_8"])
+def test_bad_arguments_are_invalid_parameter(call):
+    T, S = _instance(12, 2, 0.5, 19)
+    with pytest.raises(InvalidParameterError):
+        call(T, S)
 
 
 def test_superset_never_decertifies():
@@ -712,3 +740,6 @@ def test_moment_guards():
         estimate_trace_moment(gen, 8, 1, 0.5, 0, 0, trials=5)
     with pytest.raises(InvalidParameterError):
         estimate_trace_moment(gen, 8, 1, 0.5, 1, 0, trials=1)
+    for p in (0.0, 1.5):
+        with pytest.raises(InvalidParameterError):
+            estimate_trace_moment(gen, 8, 1, p, 1, 0, trials=5)

@@ -84,11 +84,10 @@ def test_config_errors_exit_1(tmp_path, capsys):
     assert main(["phase", "--config", str(tmp_path / "nope.cfg")]) == 1
 
 
-@pytest.mark.parametrize("flag,value", [("--format", "pdf"), ("--seed", "abc"),
-                                        ("--threads", "x")])
+@pytest.mark.parametrize("flag,value", [("--format", "pdf"), ("--seed", "abc")])
 def test_bad_shorthand_flag_exits_1(tmp_path, capsys, flag, value):
-    # --seed, --threads and --format are --set pairs: a bad value is a
-    # configuration error, as with --set
+    # --seed and --format are --set pairs: a bad value is a configuration
+    # error, as with --set
     out = tmp_path / "o.csv"
     assert main(["phase", "--set", "n_grid=8", "--set", "r_grid=1",
                  "--set", "m_grid=40", flag, value, "--out", str(out)]) == 1
@@ -96,12 +95,33 @@ def test_bad_shorthand_flag_exits_1(tmp_path, capsys, flag, value):
     assert not out.exists()
 
 
+def test_threads_other_than_1_exits_1_before_any_cell(tmp_path, capsys, monkeypatch):
+    # cells run in order on one thread; the key is kept only at its one value
+    def no_cell(*args, **kwargs):
+        raise AssertionError("a cell ran before the config was refused")
+
+    monkeypatch.setattr(mclab.experiments, "complete", no_cell)
+    monkeypatch.setattr(mclab.experiments, "sample_bernoulli", no_cell)
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("n_grid=8\nr_grid=1\nm_grid=40\nthreads=2\n")
+    out = tmp_path / "o.csv"
+    for argv in (["--config", str(cfg)],
+                 ["--set", "n_grid=8", "--set", "r_grid=1", "--set", "m_grid=40",
+                  "--set", "threads=2"]):
+        assert main(["phase", *argv, "--out", str(out)]) == 1
+        assert "threads must be 1" in capsys.readouterr().err
+        assert not out.exists()
+    with pytest.raises(SystemExit) as exc:  # no shorthand flag is left
+        main(["phase", "--threads", "1", "--out", str(out)])
+    assert exc.value.code == 2
+
+
 def test_shorthand_flags_beat_set(tmp_path):
-    # threads=0 and format=pdf would be refused; the flags are applied last
+    # format=pdf would be refused; the flags are applied last
     out = tmp_path / "o.csv"
     assert main(["phase", "--set", "n_grid=8", "--set", "r_grid=1",
-                 "--set", "m_grid=40", "--set", "trials=2", "--set", "threads=0",
-                 "--set", "format=pdf", "--threads", "1", "--format", "csv",
+                 "--set", "m_grid=40", "--set", "trials=2",
+                 "--set", "format=pdf", "--format", "csv",
                  "--out", str(out)]) == 0
     assert rows_from_csv(out.read_text())[0].trials == 2
 

@@ -125,13 +125,15 @@ def test_validation_failures_surface():
     with pytest.raises(InvalidParameterError):
         run(_phase_cfg(trials=0))
     with pytest.raises(InvalidParameterError):
-        run(_phase_cfg(threads=0))
+        run(_phase_cfg(threads=2))  # cells run in order on one thread
     with pytest.raises(InvalidParameterError):
         run(_phase_cfg(n_grid=()))
     with pytest.raises(InvalidParameterError):
         run(_phase_cfg(m_grid=()))
     with pytest.raises(InvalidParameterError):
         run(_phase_cfg(m_grid=(100,)))  # m > n^2
+    with pytest.raises(InvalidParameterError):
+        run(_phase_cfg(r_grid=(1, 9)))  # r > n
     with pytest.raises(InvalidParameterError):
         run(_phase_cfg(kind="equiv", equiv_p="3m"))
     with pytest.raises(InvalidParameterError):
@@ -146,7 +148,10 @@ def test_validation_failures_surface():
     dict(model="low_coherence", n_grid=(12,), r_grid=(2, 9)),  # r > 8
     dict(kind="lower", model="block", n_grid=(16,), r_grid=(2,),
          mu0_grid=(2.0, 16.0), p_grid=(0.3,)),  # floor(16 / (16 * 2)) = 0
-], ids=["uniform_bounded", "block", "low_coherence", "lower"])
+    # trial 2**21 of cell 0 would draw cell 1's trial-0 streams, and moments
+    # derive substream(t + 1)
+    dict(trials=1 << 20),
+], ids=["uniform_bounded", "block", "low_coherence", "lower", "trials_wrap"])
 def test_undrawable_cell_is_refused_before_any_cell_runs(monkeypatch, kw):
     def no_cell(*args, **kwargs):
         raise AssertionError("a cell ran before the config was refused")
@@ -225,6 +230,11 @@ def test_emit_csv_and_svg(tmp_path):
     assert root.tag.endswith("svg")
     circles = [el for el in root.iter() if el.tag.endswith("circle")]
     assert len(circles) == len(rows)
+    # one m across all rows: the x axis still has a nonzero span
+    emit(rows[:1], str(svg_path), fmt="svg")
+    cx = [el.get("cx") for el in ET.fromstring(svg_path.read_text()).iter()
+          if el.tag.endswith("circle")]
+    assert cx == ["50.00"]
     with pytest.raises(InvalidParameterError):
         emit([], str(csv_path))
     with pytest.raises(InvalidParameterError):
@@ -233,12 +243,11 @@ def test_emit_csv_and_svg(tmp_path):
 
 # ---------------------------------------------------------- determinism
 
-def test_reruns_and_thread_counts_are_byte_identical():
+def test_reruns_are_byte_identical():
     for name, cfg in KIND_CONFIGS.items():
         a = rows_to_csv(run(ExperimentConfig(**cfg)))
         b = rows_to_csv(run(ExperimentConfig(**cfg)))
-        c = rows_to_csv(run(ExperimentConfig(**cfg, threads=2)))
-        assert a == b == c, name
+        assert a == b, name
         if name != "phase":
             assert a == (GOLDEN_DIR / (name + ".csv")).read_text(), name
 

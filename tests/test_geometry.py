@@ -54,6 +54,16 @@ def test_rejects_non_orthonormal():
         tangent_space(np.ones((6, 2)), np.ones((6, 2)))
 
 
+@pytest.mark.parametrize("U,V", [
+    (np.ones(6) / np.sqrt(6), np.ones(6) / np.sqrt(6)),  # 1-d factors
+    (np.eye(3)[:2], np.eye(3)[:2]),                      # r > n
+    (np.eye(6)[:, :2], np.eye(6)[:, :1]),                # unequal shapes
+], ids=["one_d", "r_gt_n", "shapes"])
+def test_rejects_malformed_factors(U, V):
+    with pytest.raises(InvalidParameterError):
+        tangent_space(U, V)
+
+
 # ------------------------------------------------------- projection maps
 
 def test_pt_fixes_sign_pattern_and_kills_complement():

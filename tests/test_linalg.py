@@ -51,6 +51,13 @@ def test_rng_substream_distinct_from_parent_and_siblings():
                                   base.substream(0).gen.random(4))
 
 
+@pytest.mark.parametrize("k", [-1, 1 << 20])
+def test_rng_substream_index_out_of_range_is_refused(k):
+    # a masked index would alias: substream(2**20) was substream(0)
+    with pytest.raises(InvalidParameterError):
+        Rng(1, 7).substream(k)
+
+
 # ------------------------------------------------------ spectral_norm
 
 def test_spectral_norm_matches_svd_on_random_8x8():
@@ -73,6 +80,12 @@ def test_spectral_norm_rejects_nonfinite():
         spectral_norm(A)
 
 
+def test_spectral_norm_rejects_1d_and_is_zero_when_empty():
+    with pytest.raises(InvalidParameterError):
+        spectral_norm(np.ones(3))
+    assert spectral_norm(np.zeros((0, 3))) == 0.0
+
+
 def test_spectral_norm_degenerate_gap():
     # an orthogonal matrix has all singular values equal to 1
     Q = haar_orthogonal(10, Rng(6, 0))
@@ -86,6 +99,8 @@ def test_haar_is_orthogonal_and_seeded():
     np.testing.assert_allclose(Q.T @ Q, np.eye(16), atol=1e-10)
     np.testing.assert_array_equal(Q, haar_orthogonal(16, Rng(9, 1)))
     assert not np.array_equal(Q, haar_orthogonal(16, Rng(9, 2)))
+    with pytest.raises(InvalidParameterError):
+        haar_orthogonal(0, Rng(9, 1))
 
 
 def test_haar_first_column_uniform_on_sphere():

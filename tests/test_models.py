@@ -47,7 +47,7 @@ def test_default_sigma_distinct_positive_nonincreasing():
 
 def test_unif_bounded_identity_family_rank_one():
     # delta-basis case: coupled selection gives +-sigma e_a e_a^T
-    gt = gen_uniformly_bounded(np.eye(12), np.eye(12), 1, Rng(0, 0), coupled=True)
+    gt = gen_uniformly_bounded(np.eye(12), 1, Rng(0, 0), coupled=True)
     nz = np.nonzero(gt.M)
     assert len(nz[0]) == 1 and nz[0][0] == nz[1][0]
     assert abs(abs(gt.M[nz][0]) - gt.sigma[0]) <= 1e-12
@@ -56,7 +56,7 @@ def test_unif_bounded_identity_family_rank_one():
 
 def test_unif_bounded_hadamard_flatness():
     fam = hadamard_family(32)
-    gt = gen_uniformly_bounded(fam, fam, 4, Rng(1, 0))
+    gt = gen_uniformly_bounded(fam, 4, Rng(1, 0))
     _check_gt(gt)
     inc = incoherence(gt.tangent_space())
     np.testing.assert_allclose(inc.mu_b, 1.0, rtol=1e-12)
@@ -76,7 +76,7 @@ def test_unif_bounded_rejects_sloppy_family():
     fam = hadamard_family(16)
     fam = fam + 1e-6
     with pytest.raises(InvalidParameterError):
-        gen_uniformly_bounded(fam, fam, 2, Rng(2, 0))
+        gen_uniformly_bounded(fam, 2, Rng(2, 0))
 
 
 def test_unif_bounded_incoherence_envelope():
@@ -87,9 +87,9 @@ def test_unif_bounded_incoherence_envelope():
     fam = hadamard_family(n)
     cap = 8 * 1.0 * math.sqrt(math.log(n))
     hits = sum(
-        max(incoherence(gen_uniformly_bounded(fam, fam, r, Rng(3, t))
+        max(incoherence(gen_uniformly_bounded(fam, r, Rng(3, t))
                         .tangent_space()).mu1,
-            incoherence(gen_uniformly_bounded(fam, fam, r, Rng(3, t))
+            incoherence(gen_uniformly_bounded(fam, r, Rng(3, t))
                         .tangent_space()).mu2) <= cap
         for t in range(draws)
     )
@@ -187,6 +187,38 @@ def test_block_rank_one_flat_case():
     np.testing.assert_allclose(inc.mu0, 1.0, rtol=1e-12)
 
 
+def test_ground_truth_equality_is_identity():
+    # comparing factor arrays field by field has no single truth value
+    gt = gen_random_orthogonal(4, 1, Rng(0))
+    assert gt == gt
+    a, b = gen_random_orthogonal(4, 1, Rng(0)), gen_random_orthogonal(4, 1, Rng(0))
+    assert (a == b) is False
+    # the derived M and replace() are unaffected
+    np.testing.assert_array_equal(dataclasses.replace(gt, model="x").M, gt.M)
+
+
+@pytest.mark.parametrize("draw", [
+    lambda: default_sigma(0),
+    lambda: gen_random_orthogonal(8, 2, Rng(0), sigma=[1.0]),         # length
+    lambda: gen_random_orthogonal(8, 2, Rng(0), sigma=[1.0, 0.0]),    # not positive
+    lambda: gen_random_orthogonal(8, 2, Rng(0), sigma=[1.0, 2.0]),    # increasing
+    lambda: gen_uniformly_bounded(np.eye(8)[:, :4], 2, Rng(0)),       # not square
+    lambda: gen_uniformly_bounded(np.eye(8), 0, Rng(0)),
+    lambda: gen_uniformly_bounded(np.eye(8), 9, Rng(0)),
+    lambda: gen_random_orthogonal(8, 0, Rng(0)),
+    lambda: gen_random_orthogonal(8, 9, Rng(0)),
+    lambda: block_model_spec(8, 0, 2.0),
+    lambda: block_model_spec(8, 9, 2.0),
+    lambda: block_model_spec(8, 1, 0.5),                              # mu0 < 1
+    lambda: gen_low_coherence(8, 1, Rng(0), mu_b_cap=0.5),
+], ids=["default_sigma_r0", "sigma_length", "sigma_nonpositive", "sigma_increasing",
+        "family_not_square", "unif_r0", "unif_r_gt_n", "orth_r0", "orth_r_gt_n",
+        "block_r0", "block_r_gt_n", "block_mu0", "mu_b_cap"])
+def test_generators_refuse_bad_parameters(draw):
+    with pytest.raises(InvalidParameterError):
+        draw()
+
+
 def test_block_sigma_bounded_by_one():
     gt = gen_lower_bound_block(block_model_spec(12, 3, 2.0))
     assert np.all(gt.sigma <= 1.0) and np.all(gt.sigma > 0)
@@ -197,8 +229,7 @@ def test_block_sigma_bounded_by_one():
 def test_round_trip_exact_all_models():
     cases = [
         gen_random_orthogonal(12, 2, Rng(9, 0)),
-        gen_uniformly_bounded(hadamard_family(8), hadamard_family(8), 2,
-                              Rng(9, 1)),
+        gen_uniformly_bounded(hadamard_family(8), 2, Rng(9, 1)),
         gen_low_coherence(12, 2, Rng(9, 2), mu_b_cap=8.0),
         gen_lower_bound_block(block_model_spec(12, 2, 2.0)),
     ]
@@ -228,7 +259,16 @@ def _gt_text_lines():
     lambda ls: ["# 4 x random_orth 0"] + ls[1:],      # non-integer header field
     lambda ls: ls[:2] + ["abc"] + ls[3:],             # non-numeric entry
     lambda ls: ls[:2] + [ls[2] + " 0.5"] + ls[3:],    # ragged U row
-], ids=["cut_after_U", "header_alone", "header_int", "entry", "ragged_row"])
+    lambda ls: ["# 4 1 random_orth"] + ls[1:],        # header without its seed
+    lambda ls: ls[:1] + ["W:"] + ls[2:],              # U block marker
+    lambda ls: ls[:6] + ["sig: 1.0"] + ls[7:],        # sigma line marker
+    lambda ls: ls[:7] + ["sgn: 1.0"] + ls[8:],        # signs line marker
+    lambda ls: ls[:8] + ["W:"] + ls[9:],              # V block marker
+    lambda ls: ["# 4 2 random_orth 0"] + ls[1:],      # factor blocks of rank 1
+    lambda ls: ls[:6] + [ls[6] + " 0.5"] + ls[7:],    # sigma of length 2
+], ids=["cut_after_U", "header_alone", "header_int", "entry", "ragged_row",
+        "header_fields", "U_marker", "sigma_marker", "signs_marker", "V_marker",
+        "factor_shape", "sigma_length"])
 def test_from_text_malformed_is_invalid_parameter(edit):
     with pytest.raises(InvalidParameterError):
         gt_from_text("\n".join(edit(_gt_text_lines())) + "\n")

@@ -63,6 +63,9 @@ def test_sampleset_rejects_out_of_range():
         with pytest.raises(InvalidParameterError):
             SampleSet(n1=2, n2=3, rows=np.array(rows), cols=np.array(cols),
                       model="uniform", p=0.25, m_nominal=1)
+    with pytest.raises(InvalidParameterError):  # not parallel
+        SampleSet(n1=2, n2=3, rows=np.array([0, 1]), cols=np.array([0]),
+                  model="uniform", p=0.25, m_nominal=1)
 
 
 def test_sampleset_derives_index_arrays_once():
@@ -113,6 +116,15 @@ def test_bernoulli_rejects_bad_p():
     for p in (0.0, -0.1, 1.1):
         with pytest.raises(InvalidParameterError):
             sample_bernoulli(4, p, Rng(0, 0))
+
+
+@pytest.mark.parametrize("draw", [lambda rng: sample_bernoulli(0, 0.5, rng),
+                                  lambda rng: sample_uniform(0, 0, rng),
+                                  lambda rng: sample_uniform(4, 0, rng, n2=0)],
+                         ids=["bernoulli", "uniform", "uniform_n2"])
+def test_samplers_reject_an_empty_grid(draw):
+    with pytest.raises(InvalidParameterError):
+        draw(Rng(0, 0))
 
 
 def test_bernoulli_count_concentrates():
@@ -263,6 +275,8 @@ def test_from_text_rejects_malformed():
         from_text("# 4 4 fancy 0.5 8\n0 0\n")
     with pytest.raises(InvalidParameterError):
         from_text("# 4 4 uniform 0.5 8\n0\n")
+    with pytest.raises(InvalidParameterError):  # header without its m
+        from_text("# 4 4 uniform 0.5\n0 0\n")
 
 
 @pytest.mark.parametrize("text", [
