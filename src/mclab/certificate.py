@@ -41,6 +41,7 @@ of these settles it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,7 +54,14 @@ from .errors import (
 )
 from .geometry import TangentSpace, incoherence
 from .linalg import Rng, spectral_norm
-from .sampling import SampleSet, project_omega, q_omega, sample_bernoulli
+from .sampling import (
+    SampleSet,
+    _chunks,
+    _q_mask,
+    project_omega,
+    q_omega,
+    sample_bernoulli,
+)
 
 # Summability threshold for transferring tangent-chain norm control to
 # projection chains: if ||(Q_Om Q_T)^k Q_Om(E)|| <= sigma^((k+1)/2) with
@@ -391,12 +399,13 @@ class ChainNorms:
     qt: np.ndarray
 
 
-def _chain(X: np.ndarray, S: SampleSet, step, k: int) -> list[np.ndarray]:
+def _chain(X: np.ndarray, mask: np.ndarray, p: float, step, k: int) -> list[np.ndarray]:
     """[X, Q_Om step(X), ..., (Q_Om step)^k X] for step = T.apply_pt or
-    T.apply_qt."""
+    T.apply_qt, with Q_Om given by the mask of Omega and its rate p.  X and
+    mask may be stacks (..., n, n), one matrix and mask per trial."""
     out = [X]
     for _ in range(k):
-        out.append(q_omega(step(out[-1]), S))
+        out.append(_q_mask(step(out[-1]), mask, p))
     return out
 
 
@@ -406,8 +415,9 @@ def neumann_term_norms(T: TangentSpace, S: SampleSet, k_max: int) -> ChainNorms:
     if not (0 <= k_max <= _MAX_CHAIN_LEN):
         raise InvalidParameterError("k_max must lie in [0, %d]" % _MAX_CHAIN_LEN)
     QE = q_omega(T.e, S)
-    pt = [spectral_norm(X) for X in _chain(QE, S, T.apply_pt, k_max)]
-    qt = pt[:1] + [spectral_norm(X) for X in _chain(QE, S, T.apply_qt, k_max)[1:]]
+    pt = [spectral_norm(X) for X in _chain(QE, S.mask, S.p, T.apply_pt, k_max)]
+    qt = pt[:1] + [spectral_norm(X)
+                   for X in _chain(QE, S.mask, S.p, T.apply_qt, k_max)[1:]]
     return ChainNorms(pt=np.array(pt), qt=np.array(qt))
 
 
@@ -502,9 +512,9 @@ def check_pt_expansion(T: TangentSpace, S: SampleSet, k: int, trials: int = 3,
     for t in range(trials):
         X = rng.substream(t).gen.standard_normal((T.n, T.n))
         QX = q_omega(X, S)
-        lhs = _chain(QX, S, T.apply_pt, k)[-1]
-        a_chain = _chain(QX, S, T.apply_qt, k)
-        b_chain = _chain(X, S, T.apply_qt, k)
+        lhs = _chain(QX, S.mask, S.p, T.apply_pt, k)[-1]
+        a_chain = _chain(QX, S.mask, S.p, T.apply_qt, k)
+        b_chain = _chain(X, S.mask, S.p, T.apply_qt, k)
         rhs = np.zeros_like(X)
         for j, c in enumerate(co.alpha):
             rhs += c * a_chain[j]
@@ -556,15 +566,42 @@ def _trace_gram_power(A: np.ndarray, j: int) -> float:
     return float(np.vdot(C, C))
 
 
+def _moment_bounds(jk: int, n: int, r_mu: float, m: float) -> tuple[float, float]:
+    """The a-priori bounds jk^(2jk) n (n r_mu^2 / m)^jk and
+    (jk^6 n r_mu / m)^jk, each inf past the float range.
+
+    Python floats raise OverflowError there rather than warn.  Where only the
+    exact integer jk^(2jk) n is past the range, the product is formed exactly
+    and rounded once, so a bound that fits a float is not reported as inf.
+    """
+    try:
+        bound_poly = ((jk ** 6) * n * r_mu / m) ** jk
+    except OverflowError:
+        bound_poly = math.inf
+    try:
+        scale = (n * r_mu ** 2 / m) ** jk
+        try:
+            bound_power = (jk ** (2 * jk)) * n * scale
+        except OverflowError:  # jk^(2jk) n alone does not convert to a float
+            num, den = scale.as_integer_ratio()  # exact; int / int rounds once
+            bound_power = (jk ** (2 * jk)) * n * num / den
+    except OverflowError:
+        bound_power = math.inf
+    return bound_power, bound_poly
+
+
 def estimate_trace_moment(gen_model, n: int, r: int, p: float, j: int, k: int,
                           trials: int, rng: Rng | None = None) -> MomentEstimate:
     """Sample tr((A^T A)^j) over fresh Bernoulli(p) observation draws.
 
     gen_model(n, r, rng) must return a GroundTruth; the instance is drawn
-    once and the tangent space held fixed while Omega varies.  Each trial's
+    once and the tangent space held fixed while Omega varies.  Trials run in
+    chunks: a chunk's masks are drawn one trial at a time and stacked, and
+    the chain runs once on the stack, each product per matrix, so every
+    trial's A is bit-identical to a chain run on its own.  Each trial's
     trace is taken through powers of the Gram matrix A^T A, with no
     singular values.  For j=1, k=0 the exact mean is (1-p) r / p, which the
-    tests pin down.
+    tests pin down.  A bound past the float range is inf.
     """
     if j < 1 or k < 0:
         raise InvalidParameterError("need j >= 1 and k >= 0")
@@ -582,15 +619,15 @@ def estimate_trace_moment(gen_model, n: int, r: int, p: float, j: int, k: int,
     m = p * n * n
 
     vals = np.empty(trials)
-    for t in range(trials):
-        S = sample_bernoulli(n, p, rng.substream(t + 1))
-        vals[t] = _trace_gram_power(_chain(q_omega(T.e, S), S, T.apply_qt, k)[-1], j)
+    for chunk in _chunks(trials, T.e.nbytes):  # one n x n float array a trial
+        mask = np.stack([sample_bernoulli(n, p, rng.substream(t + 1)).mask
+                         for t in chunk])
+        A = _chain(_q_mask(T.e, mask, p), mask, p, T.apply_qt, k)[-1]
+        vals[chunk.start:chunk.stop] = [_trace_gram_power(a, j) for a in A]
 
     mean = float(np.mean(vals))
     stderr = float(np.std(vals, ddof=1) / np.sqrt(trials))
-    jk = j * (k + 1)
-    bound_power = (jk ** (2 * jk)) * n * (n * r_mu ** 2 / m) ** jk
-    bound_poly = ((jk ** 6) * n * r_mu / m) ** jk
+    bound_power, bound_poly = _moment_bounds(j * (k + 1), n, r_mu, m)
     closed = (1.0 - p) * r / p if (j == 1 and k == 0) else None
     return MomentEstimate(
         j=j, k=k, n=n, r=r, p=p, trials=trials, mean=mean, stderr=stderr,

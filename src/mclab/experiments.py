@@ -45,7 +45,7 @@ from .models import (
     gen_uniformly_bounded,
     hadamard_family,
 )
-from .sampling import sample_bernoulli, sample_uniform
+from .sampling import _chunks, sample_bernoulli, sample_uniform
 from .solver import SolverParams, complete, recovered
 
 _WILSON_Z = 1.959963984540054  # two-sided 95%
@@ -349,18 +349,21 @@ def _lower_cell(cfg, idx, n, r, mu0, p) -> dict:
     A trial 'fails' when some in-block row or column receives no sample
     inside its block, leaving a factor row free and the matrix
     undeterminable.  The closed-form reference treats the n coverage
-    events as independent: 1 - (1 - pi1)^n with pi1 = (1-p)^ell.
+    events as independent: 1 - (1 - pi1)^n with pi1 = (1-p)^ell.  Trials
+    run in chunks: a chunk's masks are drawn one trial at a time, stacked,
+    and tested for coverage all at once.
     """
     bspec = block_model_spec(n, r, mu0)
     covered = 0
-    for t in range(cfg.trials):
-        S = sample_bernoulli(n, p, Rng(cfg.seed, _stream(idx, t, _SLOT_OMEGA)))
+    for chunk in _chunks(cfg.trials, n * n):  # one n x n boolean mask a trial
+        mask = np.stack([
+            sample_bernoulli(n, p, Rng(cfg.seed, _stream(idx, t, _SLOT_OMEGA))).mask
+            for t in chunk])
+        ok = np.ones(len(chunk), dtype=bool)
         for lo, hi in bspec.blocks:
-            sub = S.mask[lo:hi, lo:hi]
-            if not (sub.any(axis=1).all() and sub.any(axis=0).all()):
-                break
-        else:
-            covered += 1
+            sub = mask[:, lo:hi, lo:hi]
+            ok &= sub.any(axis=2).all(axis=1) & sub.any(axis=1).all(axis=1)
+        covered += int(np.count_nonzero(ok))
     pi1 = (1.0 - p) ** bspec.ell
     m = int(round(p * n * n))
     m_star = n * n * (1.0 - (n / (2.0 * cfg.delta)) ** (-mu0 * r / n))

@@ -147,7 +147,14 @@ class TangentSpace:
         return X - self.apply_pt(X)
 
     def apply_qt(self, X) -> np.ndarray:
-        """Apply Q_T = P_T - rho' I by the factored product formula in Q_U, Q_V."""
+        """Apply Q_T = P_T - rho' I by the factored product formula in Q_U, Q_V.
+
+        X is n x n or a stack (..., n, n).  matmul broadcasts each product
+        over the stack with the BLAS call a single matrix gets, so every
+        matrix of a stack comes out bit-identical to its own call.  (Folding
+        the stack into one GEMM through reshapes is not: at n = 13 or 17 its
+        rows or columns fall into other kernel blocks and round differently.)
+        """
         X = np.asarray(X, dtype=float)
         rho = self.rho
         qu_x = self.U @ (self.U.T @ X) - rho * X

@@ -152,8 +152,8 @@ def gen_random_orthogonal(n: int, r: int, rng: Rng, sigma=None) -> GroundTruth:
 def _check_low_coherence(n: int, r: int, mu_b_cap: float) -> None:
     if not (1 <= r <= min(n, 8)):
         raise InvalidParameterError("need 1 <= r <= min(n, 8)")
-    if mu_b_cap < 1.0:
-        raise InvalidParameterError("mu_b_cap below 1 is unsatisfiable")
+    if not mu_b_cap >= 1.0:  # NaN fails it too
+        raise InvalidParameterError("mu_b_cap must be >= 1, got %r" % (mu_b_cap,))
 
 
 def gen_low_coherence(n: int, r: int, rng: Rng, mu_b_cap: float, sigma=None,
@@ -195,8 +195,8 @@ class BlockModelSpec:
 def block_model_spec(n: int, r: int, mu0: float) -> BlockModelSpec:
     if not (1 <= r <= n):
         raise InvalidParameterError("need 1 <= r <= n")
-    if mu0 < 1.0:
-        raise InvalidParameterError("mu0 must be >= 1")
+    if not mu0 >= 1.0:  # NaN fails it too
+        raise InvalidParameterError("mu0 must be >= 1, got %r" % (mu0,))
     ell = int(np.floor(n / (mu0 * r)))
     if ell < 1:
         raise InvalidParameterError(

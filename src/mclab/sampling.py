@@ -145,7 +145,26 @@ def q_omega(X, sset: SampleSet) -> np.ndarray:
     X = _check_shape(X, sset)
     if not (sset.p > 0.0):
         raise InvalidParameterError("q_omega needs a recorded p > 0")
-    return np.where(sset.mask, (1.0 / sset.p - 1.0) * X, -X)
+    return _q_mask(X, sset.mask, sset.p)
+
+
+def _q_mask(X, mask, p: float) -> np.ndarray:
+    """(1/p) * P_Omega - I applied to X for the boolean mask of Omega, with
+    no checks.  X and mask broadcast, so a stack (..., n, n) of masks applies
+    each trial's operator to its own matrix or to one shared n x n X."""
+    return np.where(mask, (1.0 / p - 1.0) * X, -X)
+
+
+# A chunk of trials stacks its n x n arrays into at most this many bytes:
+# enough trials to spread numpy's per-call cost, few enough to stay in cache.
+_CHUNK_BYTES = 1 << 17
+
+
+def _chunks(trials: int, trial_bytes: int) -> list[range]:
+    """range(trials) cut into consecutive chunks whose stacked arrays, of
+    trial_bytes per trial, fit in _CHUNK_BYTES (one trial at the least)."""
+    step = max(1, _CHUNK_BYTES // trial_bytes)
+    return [range(lo, min(lo + step, trials)) for lo in range(0, trials, step)]
 
 
 def to_text(sset: SampleSet) -> str:

@@ -41,10 +41,10 @@ from .sampling import SampleSet, project_omega
 class SolverParams:
     """Knobs for ``complete``.
 
-    step is the dual step scale (the realized step starts at step / p and
-    halves automatically when the residual stalls); tolerances
-    are relative (feasibility against ||P_Omega M||_F, objective against the
-    current nuclear value).  rank_cap (>= 1, or None for no cap) truncates
+    step (finite, > 0) is the dual step scale (the realized step starts at
+    step / p and halves automatically when the residual stalls); tolerances
+    (finite, >= 0) are relative (feasibility against ||P_Omega M||_F,
+    objective against the current nuclear value).  rank_cap (>= 1, or None for no cap) truncates
     every shrink to that many components; tau (finite, >= 0) overrides the
     automatic threshold.  The solver never raises on hitting max_iter; it
     reports converged=False instead.
@@ -142,8 +142,13 @@ def complete(S: SampleSet, observed, params: SolverParams | None = None) -> Solv
         params = SolverParams()
     if params.max_iter < 1:
         raise InvalidParameterError("max_iter must be >= 1")
-    if params.step <= 0:
-        raise InvalidParameterError("step must be > 0")
+    if not 0.0 < params.step < np.inf:  # NaN fails it too
+        raise InvalidParameterError("step must be finite and > 0, got %r"
+                                    % (params.step,))
+    for name in ("tol_feas", "tol_obj"):
+        if not 0.0 <= getattr(params, name) < np.inf:
+            raise InvalidParameterError("%s must be finite and >= 0, got %r"
+                                        % (name, getattr(params, name)))
     if params.tau is not None and not (0.0 <= params.tau < np.inf):
         raise InvalidParameterError("tau must be finite and >= 0, got %r" % (params.tau,))
     if params.rank_cap is not None and params.rank_cap < 1:

@@ -5,6 +5,7 @@ verification, the exact decision, operator-word coefficients, chain
 norms, and trace moments."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from mclab.certificate import (
     _REFUTE_MARGIN,
     TANGENT_TRANSFER_SIGMA0,
     CertificateReport,
+    _moment_bounds,
+    _trace_gram_power,
     build_certificate_cg,
     build_certificate_neumann,
     check_pt_expansion,
@@ -36,7 +39,9 @@ from mclab.geometry import TangentSpace
 from mclab.linalg import Rng, spectral_norm
 from mclab.models import gen_random_orthogonal
 from mclab.sampling import (
+    _CHUNK_BYTES,
     SampleSet,
+    _chunks,
     project_omega,
     q_omega,
     sample_bernoulli,
@@ -721,6 +726,60 @@ def test_moment_trace_matches_singular_value_sum(j, k):
     assert est.mean == pytest.approx(float(np.mean(vals)), rel=1e-12, abs=0.0)
     assert est.stderr == pytest.approx(
         float(np.std(vals, ddof=1) / np.sqrt(trials)), rel=1e-9, abs=0.0)
+
+
+def _moments_trial_by_trial(gen, n, r, p, j, k, trials, rng):
+    """The estimator's (mean, stderr) as it ran before chunking: one draw,
+    one chain and one trace per trial."""
+    T = gen(n, r, rng.substream(0)).tangent_space()
+    vals = np.empty(trials)
+    for t in range(trials):
+        S = sample_bernoulli(n, p, rng.substream(t + 1))
+        A = q_omega(T.e, S)
+        for _ in range(k):
+            A = q_omega(T.apply_qt(A), S)
+        vals[t] = _trace_gram_power(A, j)
+    return float(np.mean(vals)), float(np.std(vals, ddof=1) / np.sqrt(trials))
+
+
+@pytest.mark.parametrize("n,r", [(32, 1), (29, 2), (37, 3)])
+def test_chunked_moments_equal_the_trial_by_trial_loop(n, r):
+    gen = lambda n, r, rng: gen_random_orthogonal(n, r, rng)
+    chunk = len(_chunks(1 << 19, 8 * n * n)[0])
+    assert 2 < chunk < 60  # so the trial counts below straddle a chunk
+    for trials in (2, chunk - 1, chunk, chunk + 1, 60):
+        for j, k in ((1, 0), (2, 1), (3, 2)):
+            rng = Rng(19, trials * 100 + j * 10 + k)
+            est = estimate_trace_moment(gen, n, r, 0.4, j, k, trials=trials, rng=rng)
+            assert (est.mean, est.stderr) == _moments_trial_by_trial(
+                gen, n, r, 0.4, j, k, trials, rng), (trials, j, k)
+
+
+@pytest.mark.parametrize("trial_bytes", [8, 1352, 8192, 1600, 320_000])
+def test_chunks_cover_the_trials_in_bounded_memory(trial_bytes):
+    for trials in (1, 2, 59, 60, 10_000):
+        chunks = _chunks(trials, trial_bytes)
+        assert [t for c in chunks for t in c] == list(range(trials))
+        # a chunk's stacked arrays fit the bound, whatever trials is
+        assert all(len(c) == 1 or len(c) * trial_bytes <= _CHUNK_BYTES
+                   for c in chunks)
+
+
+def test_moment_bounds_past_the_float_range_are_inf():
+    # the exact values where they fit, and the expression the rows held
+    jk, n, r_mu, m = 6, 16, 2.5, 128.0
+    assert _moment_bounds(jk, n, r_mu, m) == (
+        (jk ** (2 * jk)) * n * (n * r_mu ** 2 / m) ** jk,
+        ((jk ** 6) * n * r_mu / m) ** jk)
+    # j = 10, k = 8: jk^(2jk) alone is past the float range
+    assert _moment_bounds(90, 16, 2.5, 128.0) == (math.inf, math.inf)
+    # jk^(2jk) n past the range, times a small enough power to land inside
+    # it: uniform_bounded at n = 64, r = 1 has r_mu = 1, so j = 41, k = 1 at
+    # p = 1 asks for exactly this bound
+    power, poly = _moment_bounds(82, 64, 1.0, 4096.0)
+    assert poly == math.inf
+    want = float(Fraction(82 ** 164 * 64) * Fraction(64 * 1.0 / 4096.0) ** 82)
+    assert math.isfinite(power) and power == pytest.approx(want, rel=1e-15)
 
 
 def test_moment_closed_form_any_p():

@@ -224,6 +224,59 @@ def test_gen_bad_flag_value_exits_1(tmp_path, capsys, flag, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("model,flag", [("block", "--mu0"),
+                                        ("low_coherence", "--mu-b-cap")])
+def test_gen_nan_model_parameter_exits_1_before_any_draw(tmp_path, capsys,
+                                                         monkeypatch, model, flag):
+    # --mu0 nan was a ValueError traceback; --mu-b-cap nan rejected 1000 draws
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a draw ran before the parameter was refused")
+
+    monkeypatch.setattr(mclab.models, "gen_random_orthogonal", no_draw)
+    out = tmp_path / "gt.txt"
+    assert main(["gen", "--model", model, "--n", "8", "--r", "1", flag, "nan",
+                 "--out", str(out)]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind,pairs", [
+    ("lower", ["n_grid=8", "r_grid=1", "p_grid=0.5", "mu0_grid=nan", "trials=2"]),
+    ("phase", ["model=low_coherence", "mu_b_cap=nan", "n_grid=8", "r_grid=1",
+               "m_grid=40", "trials=1"]),
+], ids=["lower_mu0", "phase_mu_b_cap"])
+def test_nan_model_parameter_exits_1_before_any_cell(tmp_path, capsys, monkeypatch,
+                                                     kind, pairs):
+    def no_cell(*args, **kwargs):
+        raise AssertionError("a cell ran before the config was refused")
+
+    for name in ("sample_bernoulli", "gen_low_coherence", "gen_lower_bound_block"):
+        monkeypatch.setattr(mclab.experiments, name, no_cell)
+    out = tmp_path / "o.csv"
+    argv = [tok for pair in pairs for tok in ("--set", pair)]
+    assert main([kind, *argv, "--out", str(out)]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_moments_bound_past_the_float_range_is_inf(tmp_path):
+    # j = 10, k = 8 overflowed jk^(2jk) and the polynomial bound's power
+    out = tmp_path / "m.csv"
+    assert main(["moments", "--set", "n_grid=16", "--set", "r_grid=1",
+                 "--set", "p_grid=0.5", "--set", "j_grid=1,10",
+                 "--set", "k_grid=0,8", "--set", "trials=2",
+                 "--out", str(out)]) == 0
+    rows = rows_from_csv(out.read_text())
+    assert [(row.j, row.k) for row in rows] == [(1, 0), (1, 8), (10, 0), (10, 8)]
+    assert rows[3].moment_bound_power == rows[3].moment_bound_poly == float("inf")
+    assert all(np.isfinite([row.moment_bound_power, row.moment_bound_poly]).all()
+               for row in rows[:3])
+    header = out.read_text().splitlines()[0].split(",")
+    last = out.read_text().splitlines()[4].split(",")
+    assert last[header.index("moment_bound_power")] == "inf"
+    assert last[header.index("moment_bound_poly")] == "inf"
+
+
 def test_gen_missing_required_flag_exits_2(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["gen", "--model", "random_orth", "--n", "8",
@@ -315,7 +368,9 @@ def test_solve_non_finite_observed_entry_exit_1(tmp_path, capsys):
 @pytest.mark.parametrize("extra", [("--tau", "-5"), ("--tau", "nan"), ("--tau", "inf"),
                                    ("--rank-cap", "0"), ("--rank-cap", "-1"),
                                    ("--tau", "abc"), ("--step", "x"),
-                                   ("--max-iter", "1.5"), ("--rank-cap", "two")],
+                                   ("--max-iter", "1.5"), ("--rank-cap", "two"),
+                                   ("--step", "nan"), ("--tol-feas", "nan"),
+                                   ("--tol-obj", "nan")],
                          ids="=".join)
 def test_solve_invalid_knob_exit_1(tmp_path, capsys, extra):
     assert _solve_rank_one(tmp_path, extra) == 1

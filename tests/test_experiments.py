@@ -2,6 +2,7 @@
 and per-kind row semantics."""
 
 import dataclasses
+import itertools
 import os
 import subprocess
 import sys
@@ -25,6 +26,9 @@ from mclab.experiments import (
     run,
     wilson_interval,
 )
+from mclab.linalg import Rng
+from mclab.models import block_model_spec
+from mclab.sampling import _chunks, sample_bernoulli
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -151,13 +155,23 @@ def test_validation_failures_surface():
     # trial 2**21 of cell 0 would draw cell 1's trial-0 streams, and moments
     # derive substream(t + 1)
     dict(trials=1 << 20),
-], ids=["uniform_bounded", "block", "low_coherence", "lower", "trials_wrap"])
+    # NaN passed every range check: a traceback from floor(n / (mu0 r)), and
+    # 1000 rejected draws ending in exit 2
+    dict(kind="lower", model="block", n_grid=(8,), r_grid=(1,),
+         mu0_grid=(float("nan"),), p_grid=(0.5,)),
+    dict(model="block", mu0_grid=(float("nan"),)),
+    dict(model="low_coherence", mu_b_cap=float("nan")),
+    dict(kind="moments", model="low_coherence", p_grid=(0.5,),
+         mu_b_cap=float("nan")),
+], ids=["uniform_bounded", "block", "low_coherence", "lower", "trials_wrap",
+        "lower_mu0_nan", "block_mu0_nan", "mu_b_cap_nan", "moments_mu_b_cap_nan"])
 def test_undrawable_cell_is_refused_before_any_cell_runs(monkeypatch, kw):
     def no_cell(*args, **kwargs):
         raise AssertionError("a cell ran before the config was refused")
 
-    monkeypatch.setattr(experiments, "complete", no_cell)
-    monkeypatch.setattr(experiments, "sample_bernoulli", no_cell)
+    for name in ("complete", "sample_bernoulli", "gen_random_orthogonal",
+                 "gen_low_coherence", "gen_lower_bound_block"):
+        monkeypatch.setattr(experiments, name, no_cell)
     with pytest.raises(InvalidParameterError):
         run(_phase_cfg(**kw))
 
@@ -344,6 +358,37 @@ def test_lower_bound_row_algebra():
     with pytest.raises(InvalidParameterError):
         run(ExperimentConfig(kind="lower", n_grid=(16,), r_grid=(2,),
                              p_grid=(1.5,), trials=5))
+
+
+def _covered_trial_by_trial(cfg, idx, n, r, mu0, p):
+    """The lower cell's covered count as it ran before chunking: one draw
+    and one for/else pass over the blocks per trial."""
+    covered = 0
+    for t in range(cfg.trials):
+        S = sample_bernoulli(n, p, Rng(cfg.seed, experiments._stream(
+            idx, t, experiments._SLOT_OMEGA)))
+        for lo, hi in block_model_spec(n, r, mu0).blocks:
+            sub = S.mask[lo:hi, lo:hi]
+            if not (sub.any(axis=1).all() and sub.any(axis=0).all()):
+                break
+        else:
+            covered += 1
+    return covered
+
+
+@pytest.mark.parametrize("r", [1, 3])
+def test_chunked_coverage_equals_the_trial_by_trial_loop(r):
+    n = 48
+    chunk = len(_chunks(1 << 19, n * n)[0])
+    mu0s, ps = (1.0, 2.5, 4.0), (0.05, 0.15, 0.4)
+    cfg = ExperimentConfig(kind="lower", model="block", n_grid=(n,), r_grid=(r,),
+                           mu0_grid=mu0s, p_grid=ps, trials=2 * chunk + 3, seed=29)
+    rows = run(cfg)
+    for idx, (mu0, p) in enumerate(itertools.product(mu0s, ps)):
+        assert rows[idx].successes == _covered_trial_by_trial(cfg, idx, n, r, mu0, p)
+    # the counts spread out, so the oracle is not met trivially
+    assert len({row.successes for row in rows}) >= 4
+    assert any(0 < row.successes < cfg.trials for row in rows)
 
 
 @pytest.mark.parametrize("delta", [0.0, -0.1, 1.0, 2.0, float("nan")])

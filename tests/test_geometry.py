@@ -131,6 +131,19 @@ def test_qt_both_forms_agree():
         np.testing.assert_allclose(qt, T.apply_pt(X) - T.rho_prime * X, atol=1e-12)
 
 
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("n", [13, 16, 17, 32])
+def test_qt_on_a_stack_is_bit_identical_per_matrix(n, r):
+    # sizes of no common width: a product folded into one GEMM over the stack
+    # rounds differently at n = 13 and 17, a per-matrix product does not
+    T = _random_t(n, r, 110 + r)
+    gen = np.random.default_rng(n * 10 + r)
+    for shape in [(1,), (3,), (16,), (17,), (2, 3)]:
+        X = gen.standard_normal(shape + (n, n))
+        want = np.array([T.apply_qt(x) for x in X.reshape(-1, n, n)]).reshape(X.shape)
+        np.testing.assert_array_equal(T.apply_qt(X), want)
+
+
 def test_qt_square_identity_and_norm_bound():
     T = _random_t(12, 2, 108)
     rp = T.rho_prime

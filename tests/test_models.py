@@ -210,11 +210,20 @@ def test_ground_truth_equality_is_identity():
     lambda: block_model_spec(8, 0, 2.0),
     lambda: block_model_spec(8, 9, 2.0),
     lambda: block_model_spec(8, 1, 0.5),                              # mu0 < 1
+    lambda: block_model_spec(8, 1, math.nan),
     lambda: gen_low_coherence(8, 1, Rng(0), mu_b_cap=0.5),
+    lambda: gen_low_coherence(8, 1, Rng(0), mu_b_cap=math.nan),
 ], ids=["default_sigma_r0", "sigma_length", "sigma_nonpositive", "sigma_increasing",
         "family_not_square", "unif_r0", "unif_r_gt_n", "orth_r0", "orth_r_gt_n",
-        "block_r0", "block_r_gt_n", "block_mu0", "mu_b_cap"])
-def test_generators_refuse_bad_parameters(draw):
+        "block_r0", "block_r_gt_n", "block_mu0", "block_mu0_nan", "mu_b_cap",
+        "mu_b_cap_nan"])
+def test_generators_refuse_bad_parameters(monkeypatch, draw):
+    # before any draw: mu_b_cap = nan made gen_low_coherence reject 1000
+    # draws, and mu0 = nan raised ValueError from floor(n / (mu0 r))
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a draw ran before the parameters were refused")
+
+    monkeypatch.setattr("mclab.models.gen_random_orthogonal", no_draw)
     with pytest.raises(InvalidParameterError):
         draw()
 

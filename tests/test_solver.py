@@ -241,10 +241,18 @@ def test_complete_validates_inputs():
 @pytest.mark.parametrize("knobs", [
     dict(tau=-5.0), dict(tau=-1e-300), dict(tau=np.nan), dict(tau=np.inf),
     dict(tau=-np.inf), dict(rank_cap=0), dict(rank_cap=-1),
+    dict(step=np.nan), dict(step=np.inf), dict(tol_feas=np.nan),
+    dict(tol_feas=-1e-6), dict(tol_feas=np.inf), dict(tol_obj=np.nan),
+    dict(tol_obj=-1e-9),
 ], ids=repr)
-def test_complete_rejects_invalid_tau_and_rank_cap(knobs):
+def test_complete_rejects_invalid_tau_and_rank_cap(monkeypatch, knobs):
     # unchecked, tau < 0 and rank_cap = 0 give Xhat = 0 without an error,
-    # and rank_cap = -1 drops the smallest kept component (lam[:-1])
+    # rank_cap = -1 drops the smallest kept component (lam[:-1]), step = nan
+    # raised ValueError and tol_feas = nan ran to max_iter
+    def no_step(*args, **kwargs):
+        raise AssertionError("an iteration ran before the knobs were refused")
+
+    monkeypatch.setattr("mclab.solver._threshold", no_step)
     gt = gen_random_orthogonal(12, 1, Rng(24, 0))
     S = sample_bernoulli(12, 0.6, Rng(24, 1))
     with pytest.raises(InvalidParameterError):
