@@ -42,6 +42,7 @@ of these settles it.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -590,18 +591,31 @@ def _moment_bounds(jk: int, n: int, r_mu: float, m: float) -> tuple[float, float
     return bound_power, bound_poly
 
 
+def _std(vals: np.ndarray) -> float:
+    """np.std(vals, ddof=1), which squares the deviations.  When a square
+    could overflow, the values are scaled by a power of two first and the
+    result scaled back, which is exact unless a value falls below the
+    normal range."""
+    big = float(np.max(np.abs(vals)))
+    if not 4.0 * len(vals) * big * big > sys.float_info.max:
+        return float(np.std(vals, ddof=1))
+    e = math.frexp(big)[1]  # 0 for inf, which np.std then reports as before
+    return math.ldexp(float(np.std(np.ldexp(vals, -e), ddof=1)), e)
+
+
 def estimate_trace_moment(gen_model, n: int, r: int, p: float, j: int, k: int,
                           trials: int, rng: Rng | None = None) -> MomentEstimate:
     """Sample tr((A^T A)^j) over fresh Bernoulli(p) observation draws.
 
     gen_model(n, r, rng) must return a GroundTruth; the instance is drawn
     once and the tangent space held fixed while Omega varies.  Trials run in
-    chunks: a chunk's masks are drawn one trial at a time and stacked, and
-    the chain runs once on the stack, each product per matrix, so every
-    trial's A is bit-identical to a chain run on its own.  Each trial's
-    trace is taken through powers of the Gram matrix A^T A, with no
-    singular values.  For j=1, k=0 the exact mean is (1-p) r / p, which the
-    tests pin down.  A bound past the float range is inf.
+    chunks: a chunk's generators are seeded in one pass, its masks drawn one
+    trial at a time and stacked, and the chain runs once on the stack, each
+    product per matrix, so every trial's A is bit-identical to a chain run
+    on its own.  Each trial's trace is taken through powers of the Gram
+    matrix A^T A, with no singular values.  For j=1, k=0 the exact mean is
+    (1-p) r / p, which the tests pin down.  A bound past the float range is
+    inf.
     """
     if j < 1 or k < 0:
         raise InvalidParameterError("need j >= 1 and k >= 0")
@@ -620,13 +634,13 @@ def estimate_trace_moment(gen_model, n: int, r: int, p: float, j: int, k: int,
 
     vals = np.empty(trials)
     for chunk in _chunks(trials, T.e.nbytes):  # one n x n float array a trial
-        mask = np.stack([sample_bernoulli(n, p, rng.substream(t + 1)).mask
-                         for t in chunk])
+        subs = Rng.batch(rng.seed, [rng.substream(t + 1).stream for t in chunk])
+        mask = np.stack([sample_bernoulli(n, p, sub).mask for sub in subs])
         A = _chain(_q_mask(T.e, mask, p), mask, p, T.apply_qt, k)[-1]
         vals[chunk.start:chunk.stop] = [_trace_gram_power(a, j) for a in A]
 
     mean = float(np.mean(vals))
-    stderr = float(np.std(vals, ddof=1) / np.sqrt(trials))
+    stderr = float(_std(vals) / np.sqrt(trials))
     bound_power, bound_poly = _moment_bounds(j * (k + 1), n, r_mu, m)
     closed = (1.0 - p) * r / p if (j == 1 and k == 0) else None
     return MomentEstimate(

@@ -350,15 +350,14 @@ def _lower_cell(cfg, idx, n, r, mu0, p) -> dict:
     inside its block, leaving a factor row free and the matrix
     undeterminable.  The closed-form reference treats the n coverage
     events as independent: 1 - (1 - pi1)^n with pi1 = (1-p)^ell.  Trials
-    run in chunks: a chunk's masks are drawn one trial at a time, stacked,
-    and tested for coverage all at once.
+    run in chunks: a chunk's generators are seeded in one pass, its masks
+    drawn one trial at a time, stacked, and tested for coverage all at once.
     """
     bspec = block_model_spec(n, r, mu0)
     covered = 0
     for chunk in _chunks(cfg.trials, n * n):  # one n x n boolean mask a trial
-        mask = np.stack([
-            sample_bernoulli(n, p, Rng(cfg.seed, _stream(idx, t, _SLOT_OMEGA))).mask
-            for t in chunk])
+        rngs = Rng.batch(cfg.seed, [_stream(idx, t, _SLOT_OMEGA) for t in chunk])
+        mask = np.stack([sample_bernoulli(n, p, rng).mask for rng in rngs])
         ok = np.ones(len(chunk), dtype=bool)
         for lo, hi in bspec.blocks:
             sub = mask[:, lo:hi, lo:hi]

@@ -10,6 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from mclab import certificate
 from mclab.certificate import (
     _NULL_TOL,
     _REFUTE_MARGIN,
@@ -753,6 +754,16 @@ def test_chunked_moments_equal_the_trial_by_trial_loop(n, r):
             est = estimate_trace_moment(gen, n, r, 0.4, j, k, trials=trials, rng=rng)
             assert (est.mean, est.stderr) == _moments_trial_by_trial(
                 gen, n, r, 0.4, j, k, trials, rng), (trials, j, k)
+
+
+def test_moments_refuse_a_substream_index_past_2_20(monkeypatch):
+    # a chunk reaching trial 2**20 - 1 derives substream(2**20), which would
+    # alias substream(0); the batch of the chunk's streams still refuses it
+    monkeypatch.setattr(certificate, "_chunks", lambda trials, trial_bytes:
+                        [range(2**20 - 3, 2**20)])
+    gen = lambda n, r, rng: gen_random_orthogonal(n, r, rng)
+    with pytest.raises(InvalidParameterError, match="substream"):
+        estimate_trace_moment(gen, 8, 1, 0.5, 1, 0, trials=3, rng=Rng(2, 5))
 
 
 @pytest.mark.parametrize("trial_bytes", [8, 1352, 8192, 1600, 320_000])

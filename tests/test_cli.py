@@ -2,7 +2,10 @@
 
 import argparse
 import dataclasses
+import math
 import re
+import statistics
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -17,15 +20,18 @@ from mclab.errors import (
     InjectivityError,
     NumericFailureError,
 )
+from mclab.certificate import _trace_gram_power
 from mclab.experiments import (
+    _SLOT_MODEL,
     KINDS,
     MODELS,
     ExperimentConfig,
+    _stream,
     gen_ground_truth,
     rows_from_csv,
 )
 from mclab.models import gt_from_text, gt_to_text
-from mclab.sampling import to_text as sampleset_to_text, sample_bernoulli
+from mclab.sampling import to_text as sampleset_to_text, q_omega, sample_bernoulli
 from mclab.linalg import Rng
 
 
@@ -275,6 +281,30 @@ def test_moments_bound_past_the_float_range_is_inf(tmp_path):
     assert rows[3].moment_bound_power == rows[3].moment_bound_poly == float("inf")
     assert np.isfinite([[row.moment_bound_power, row.moment_bound_poly]
                         for row in rows[:3]]).all()
+
+
+def test_moments_stderr_of_values_past_1e154_is_finite(tmp_path):
+    # np.std squared deviations of about 1e203 and wrote moment_se inf
+    out = tmp_path / "m.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["moments", "--set", "n_grid=16", "--set", "r_grid=1",
+                     "--set", "p_grid=0.05", "--set", "j_grid=150",
+                     "--set", "k_grid=0", "--set", "trials=3",
+                     "--out", str(out)]) == 0
+    (row,) = rows_from_csv(out.read_text())
+    # the same draws, trial by trial
+    cfg = ExperimentConfig(kind="moments")
+    rng = Rng(cfg.seed, _stream(0, 0, _SLOT_MODEL))
+    T = gen_ground_truth(cfg.model, 16, 1, rng.substream(0), cfg.mu0_grid[0],
+                         cfg.mu_b_cap).tangent_space()
+    vals = [_trace_gram_power(q_omega(T.e, sample_bernoulli(16, 0.05, rng.substream(t))), 150)
+            for t in (1, 2, 3)]
+    assert max(vals) > 1e200
+    assert row.moment_mean == np.mean(vals)
+    expected = statistics.stdev(vals) / math.sqrt(3)
+    assert math.isfinite(row.moment_se)
+    assert row.moment_se == pytest.approx(expected, rel=32 * np.finfo(float).eps, abs=0.0)
 
 
 def test_gen_missing_required_flag_exits_2(tmp_path):

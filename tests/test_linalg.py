@@ -26,17 +26,47 @@ def test_rng_reproducible_and_stream_separated():
     assert not np.array_equal(a, d)
 
 
+def _assert_draws_equal(gen, ref):
+    np.testing.assert_array_equal(gen.random((4, 5)), ref.random((4, 5)))
+    np.testing.assert_array_equal(gen.choice(50, size=20, replace=False),
+                                  ref.choice(50, size=20, replace=False))
+    np.testing.assert_array_equal(gen.standard_normal(7), ref.standard_normal(7))
+
+
+def _default_rng(seed, stream):
+    return np.random.default_rng(np.random.SeedSequence(
+        entropy=seed & (2**64 - 1), spawn_key=(stream & (2**64 - 1),)))
+
+
+# one-word keys (0 is one zero word) and two-word keys; 2**70 + 3 is masked
+_KEYS = (0, 1, 3, (5 << 20) + 17, 2**32 - 1, 2**32, 2**64 - 1, 2**70 + 3)
+
+
 def test_rng_gen_draws_equal_the_default_rng_route():
-    # Rng.gen builds Generator(PCG64(ss)); default_rng(ss) is the reference
+    # Rng.gen builds Generator(PCG64(ss)), and Rng.batch seeds the same
+    # generators in one pass; default_rng(ss) is the reference for both
     for seed, stream in ((0, 0), (7, 3), (31, (5 << 20) + 17), (-1, 2**64 - 1)):
-        ss = np.random.SeedSequence(entropy=seed & (2**64 - 1),
-                                    spawn_key=(stream & (2**64 - 1),))
-        ref = np.random.default_rng(ss)
-        gen = Rng(seed, stream).gen
-        np.testing.assert_array_equal(gen.random((4, 5)), ref.random((4, 5)))
-        np.testing.assert_array_equal(gen.choice(50, size=20, replace=False),
-                                      ref.choice(50, size=20, replace=False))
-        np.testing.assert_array_equal(gen.standard_normal(7), ref.standard_normal(7))
+        _assert_draws_equal(Rng(seed, stream).gen, _default_rng(seed, stream))
+    for seed in (0, -1, 7, 2**32, 2**64 + 5):
+        batch = Rng.batch(seed, _KEYS)
+        assert batch == [Rng(seed, key) for key in _KEYS]
+        for key, rng in zip(_KEYS, batch):
+            _assert_draws_equal(rng.gen, _default_rng(seed, key))
+
+
+@pytest.mark.parametrize("keys", [_KEYS[:4], _KEYS[4:], _KEYS[3:5], _KEYS[::-1]])
+def test_rng_batch_equals_lone_streams_for_any_key_widths(keys):
+    # all one-word keys, all two-word keys, and the two mixed either way
+    for seed in (3, 2**40 + 1):
+        for key, rng in zip(keys, Rng.batch(seed, keys)):
+            np.testing.assert_array_equal(rng.gen.random(6), Rng(seed, key).gen.random(6))
+
+
+def test_rng_batch_of_one_and_of_none():
+    (rng,) = Rng.batch(9, [2**33 + 4])
+    assert rng == Rng(9, 2**33 + 4)
+    _assert_draws_equal(rng.gen, _default_rng(9, 2**33 + 4))
+    assert Rng.batch(9, []) == []
 
 
 def test_rng_substream_distinct_from_parent_and_siblings():
