@@ -10,7 +10,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 from .errors import InvalidParameterError
 
@@ -72,8 +71,9 @@ def _pcg64_words(seed: int, keys: list[int]) -> np.ndarray:
     and the key words are mixed in as uint32 array operations.
     """
     key = np.array(keys, dtype=np.uint64)
+    lo = (key & _MASK32).astype(np.uint32)[:, None]
+    pool = _mix(_seed_pool(seed), _hashmix(lo, 16, 4))
     # a key below 2**32 (0 too) is one word, a larger key two
-    pool = _mix(_seed_pool(seed), _hashmix((key & _MASK32).astype(np.uint32)[:, None], 16, 4))
     two = np.flatnonzero(key >> 32)
     if two.size:
         hi = (key[two] >> 32).astype(np.uint32)[:, None]
@@ -85,14 +85,20 @@ def _pcg64_words(seed: int, keys: list[int]) -> np.ndarray:
     return np.ascontiguousarray(state, dtype="<u4").view("<u8").astype(np.uint64)
 
 
-class _PresetWords(ISeedSequence):
-    """A seed sequence whose state is words already generated."""
+@lru_cache(maxsize=1)
+def _preset_words():
+    """A seed sequence type whose state is words already generated; made on
+    first use, so that importing mclab does not import numpy.random."""
+    from numpy.random.bit_generator import ISeedSequence
 
-    def __init__(self, words: np.ndarray):
-        self.words = words
+    class PresetWords(ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
 
-    def generate_state(self, n_words, dtype=np.uint32):
-        return self.words
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return PresetWords
 
 
 @dataclass
@@ -131,9 +137,10 @@ class Rng:
         """
         rngs = [cls(seed, s) for s in streams]
         if len(rngs) > 1:
-            words = _pcg64_words(seed & _MASK64, [s & _MASK64 for s in streams])
+            words = _pcg64_words(seed & _MASK64, [rng.stream & _MASK64 for rng in rngs])
+            preset = _preset_words()
             for rng, w in zip(rngs, words):
-                rng._gen = np.random.Generator(np.random.PCG64(_PresetWords(w)))
+                rng._gen = np.random.Generator(np.random.PCG64(preset(w)))
         return rngs
 
     def substream(self, k: int) -> "Rng":
