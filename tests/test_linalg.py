@@ -54,7 +54,8 @@ def test_rng_gen_draws_equal_the_default_rng_route():
             _assert_draws_equal(rng.gen, _default_rng(seed, key))
 
 
-@pytest.mark.parametrize("keys", [_KEYS[:4], _KEYS[4:], _KEYS[3:5], _KEYS[::-1]])
+@pytest.mark.parametrize("keys", [(0, 1, 3, 2**32 - 1), (2**32, 2**40 + 7, 2**64 - 1),
+                                  (2**32 - 1, 2**32), _KEYS[::-1]])
 def test_rng_batch_equals_lone_streams_for_any_key_widths(keys):
     # all one-word keys, all two-word keys, and the two mixed either way
     for seed in (3, 2**40 + 1):
