@@ -132,15 +132,14 @@ class Rng:
     def batch(cls, seed: int, streams) -> list["Rng"]:
         """One Rng per stream, generators preset and identical to ``.gen``.
 
-        The SeedSequence hashing runs once over all the streams; a lone
-        stream keeps numpy's own SeedSequence, which is cheaper for one.
+        The SeedSequence hashing runs once over all the streams; ``.gen``
+        keeps numpy's own SeedSequence for a stream made on its own.
         """
         rngs = [cls(seed, s) for s in streams]
-        if len(rngs) > 1:
-            words = _pcg64_words(seed & _MASK64, [rng.stream & _MASK64 for rng in rngs])
-            preset = _preset_words()
-            for rng, w in zip(rngs, words):
-                rng._gen = np.random.Generator(np.random.PCG64(preset(w)))
+        words = _pcg64_words(seed & _MASK64, [rng.stream & _MASK64 for rng in rngs])
+        preset = _preset_words()
+        for rng, w in zip(rngs, words):
+            rng._gen = np.random.Generator(np.random.PCG64(preset(w)))
         return rngs
 
     def substream(self, k: int) -> "Rng":

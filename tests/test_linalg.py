@@ -47,20 +47,14 @@ def test_rng_gen_draws_equal_the_default_rng_route():
     # generators in one pass; default_rng(ss) is the reference for both
     for seed, stream in ((0, 0), (7, 3), (31, (5 << 20) + 17), (-1, 2**64 - 1)):
         _assert_draws_equal(Rng(seed, stream).gen, _default_rng(seed, stream))
-    for seed in (0, -1, 7, 2**32, 2**64 + 5):
-        batch = Rng.batch(seed, _KEYS)
-        assert batch == [Rng(seed, key) for key in _KEYS]
-        for key, rng in zip(_KEYS, batch):
-            _assert_draws_equal(rng.gen, _default_rng(seed, key))
-
-
-@pytest.mark.parametrize("keys", [(0, 1, 3, 2**32 - 1), (2**32, 2**40 + 7, 2**64 - 1),
-                                  (2**32 - 1, 2**32), _KEYS[::-1]])
-def test_rng_batch_equals_lone_streams_for_any_key_widths(keys):
-    # all one-word keys, all two-word keys, and the two mixed either way
-    for seed in (3, 2**40 + 1):
-        for key, rng in zip(keys, Rng.batch(seed, keys)):
-            np.testing.assert_array_equal(rng.gen.random(6), Rng(seed, key).gen.random(6))
+    # mixed key widths either way round, all one-word keys, all two-word keys
+    batches = (_KEYS, _KEYS[::-1], (0, 1, 3, 2**32 - 1), (2**32, 2**40 + 7, 2**64 - 1))
+    for seed in (0, -1, 7, 2**32, 2**40 + 1, 2**64 + 5):
+        for keys in batches:
+            batch = Rng.batch(seed, keys)
+            assert batch == [Rng(seed, key) for key in keys]
+            for key, rng in zip(keys, batch):
+                _assert_draws_equal(rng.gen, _default_rng(seed, key))
 
 
 def test_rng_batch_of_one_and_of_none():
