@@ -39,8 +39,11 @@ class SampleSet:
 
     def __init__(self, n1: int, n2: int, rows, cols, model: str, p: float,
                  m_nominal: int):
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
+        try:
+            rows = np.asarray(rows, dtype=np.int64)
+            cols = np.asarray(cols, dtype=np.int64)
+        except OverflowError:
+            raise InvalidParameterError("index outside the int64 range") from None
         if n1 < 0 or n2 < 0:
             raise InvalidParameterError("grid dimensions must be >= 0")
         if rows.shape != cols.shape or rows.ndim != 1:
@@ -51,7 +54,10 @@ class SampleSet:
             if cols.min() < 0 or cols.max() >= n2:
                 raise InvalidParameterError("column index out of range")
         # the checks above also keep a negative index from wrapping here
-        mask = np.zeros((n1, n2), dtype=bool)
+        try:
+            mask = np.zeros((n1, n2), dtype=bool)
+        except (ValueError, MemoryError):  # numpy refuses the shape or its size
+            raise InvalidParameterError("grid %d x %d is too large" % (n1, n2)) from None
         mask[rows, cols] = True
         self._adopt(mask, model, p, m_nominal)
 
@@ -210,7 +216,5 @@ def from_text(text: str) -> SampleSet:
             raise InvalidParameterError("malformed index line: %r" % ln)
         rows.append(_number(int, parts[0], "row index"))
         cols.append(_number(int, parts[1], "column index"))
-    return SampleSet(
-        n1=n1, n2=n2, rows=np.array(rows, dtype=np.int64),
-        cols=np.array(cols, dtype=np.int64), model=model, p=p, m_nominal=m_nominal,
-    )
+    return SampleSet(n1=n1, n2=n2, rows=rows, cols=cols, model=model, p=p,
+                     m_nominal=m_nominal)

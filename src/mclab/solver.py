@@ -22,13 +22,18 @@ rebuilds the shrunk iterate from those right singular vectors.  The
 eigendecomposition is a direct LAPACK ``dsyevr`` call, its workspace
 queried once per size; the loop forms the residual in one preallocated
 buffer, so an iteration costs little more than that call.  scipy, which
-supplies that call, is imported by the first threshold step, so runs that
-never solve do not load it.
+supplies that call, is reached by the first threshold step, so runs that
+never solve do not load it; and that step loads only scipy's LAPACK
+extension module, not the much larger ``scipy.linalg`` package.
 """
 
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,23 +76,51 @@ class SolveResult:
     halvings: int
 
 
+def _flapack():
+    """scipy's LAPACK extension module ``scipy.linalg._flapack``.
+
+    The module already loaded is reused.  Otherwise only the top-level
+    scipy package is imported (its init readies the bundled OpenBLAS) and
+    the extension is loaded from its file under its own name, so a later
+    ``import scipy.linalg`` adopts this very module.  Importing
+    scipy.linalg itself would cost about 200 ms, most of it in modules the
+    solver never uses.
+    """
+    name = "scipy.linalg._flapack"
+    module = sys.modules.get(name)
+    if module is not None:
+        return module
+    import scipy
+
+    stem = os.path.join(scipy.__path__[0], "linalg", "_flapack")
+    paths = [stem + suffix for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+    path = next((path for path in paths if os.path.exists(path)), None)
+    if path is None:
+        raise ImportError("scipy's LAPACK extension is missing: %s" % paths[0],
+                          name=name, path=paths[0])
+    loader = importlib.machinery.ExtensionFileLoader(name, path)
+    module = importlib.util.module_from_spec(importlib.util.spec_from_loader(name, loader))
+    loader.exec_module(module)
+    sys.modules[name] = module
+    return module
+
+
 @functools.cache
 def _syevr_workspace(n: int):
     """LAPACK ``dsyevr`` with its optimal (lwork, liwork) at order n, lower
     triangle.
 
-    The first call imports scipy.linalg for the LAPACK lookup.  The sizes
-    are the ones scipy's ``eigh`` wrapper asks for.  The workspace size
-    picks the blocked or unblocked tridiagonal reduction, so other sizes
-    would change the bits of the result.
+    The routine is the very object scipy's ``get_lapack_funcs`` returns for
+    float64, taken from ``_flapack()``; the sizes are the ones scipy's
+    ``eigh`` wrapper asks for.  The workspace size picks the blocked or
+    unblocked tridiagonal reduction, so other sizes would change the bits
+    of the result.
     """
-    import scipy.linalg
-
-    syevr, syevr_lwork = scipy.linalg.get_lapack_funcs(("syevr", "syevr_lwork"))
-    work, iwork, info = syevr_lwork(n, lower=1)
+    lapack = _flapack()
+    work, iwork, info = lapack.dsyevr_lwork(n, lower=1)
     if info != 0:
         raise NumericFailureError("dsyevr workspace query failed (info=%d)" % info)
-    return syevr, int(work), int(iwork)
+    return lapack.dsyevr, int(work), int(iwork)
 
 
 def _threshold(Y, tau: float, rank_cap: int | None):

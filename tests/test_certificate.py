@@ -611,6 +611,43 @@ def test_decide_witness_is_orthogonal_to_every_free_direction():
             assert np.linalg.norm(R + t * D, 2) >= d.lower - 1e-10
 
 
+def _same_pattern(mask, S):
+    rows, cols = np.nonzero(mask)
+    return SampleSet(n1=mask.shape[0], n2=mask.shape[1], rows=rows, cols=cols,
+                     model=S.model, p=S.p, m_nominal=S.m_nominal)
+
+
+def test_decide_is_invariant_under_the_problem_symmetries():
+    # transposing M and Omega, permuting the rows and the columns of both
+    # jointly, and rotating U and V by one r x r orthogonal matrix all map
+    # the program to an equivalent one
+    verdicts = set()
+    for n in (12, 16, 24, 32):
+        for r in (1, 2):
+            for seed in range(5):
+                T = gen_random_orthogonal(n, r, Rng(seed, 0)).tangent_space()
+                S = sample_uniform(n, round(2.3 * n * r * math.log(n)), Rng(seed, 1))
+                d = decide(T, S)
+                verdicts.add(d.verdict)
+                gen = np.random.default_rng(seed)
+                pr, pc = gen.permutation(n), gen.permutation(n)
+                R = np.linalg.qr(gen.standard_normal((r, r)))[0]
+                for T2, S2 in ((TangentSpace(T.V, T.U), _same_pattern(S.mask.T, S)),
+                               (TangentSpace(T.U[pr], T.V[pc]),
+                                _same_pattern(S.mask[np.ix_(pr, pc)], S)),
+                               (TangentSpace(T.U @ R, T.V @ R), S)):
+                    d2 = decide(T2, S2)
+                    assert (d2.verdict, d2.reason) == (d.verdict, d.reason)
+                    if d.reason == "null":  # lower divides two rounding-level numbers
+                        assert d2.upper == d.upper == math.inf
+                        continue
+                    # G^{-1} scales rounding error by up to 1 / lam_min
+                    rel = 1e-12 / min(1.0, d.lam_min)
+                    assert d2.upper == pytest.approx(d.upper, rel=rel, abs=0.0)
+                    assert d2.lower == pytest.approx(d.lower, rel=rel, abs=0.0)
+    assert verdicts == {"certified", "undecided", "refuted"}
+
+
 # ------------------------------------------------------------ chain norms
 
 def test_chain_norms_share_level_zero_and_vanish_at_p1():

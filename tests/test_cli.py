@@ -414,7 +414,9 @@ def test_solve_invalid_knob_exit_1(tmp_path, capsys, extra):
     ("# 8 8 bernoulli abc 38", "0 0"),
     ("# 8 x bernoulli 0.6 38", "0 0"),
     ("# 8 8 bernoulli 0.6 38", "0 x"),
-], ids=["p0", "p1.5", "p_abc", "n2_x", "index_x"])
+    ("# 8 8 bernoulli 0.6 38", "99999999999999999999 0"),  # past int64
+    ("# 99999999999999999999 8 bernoulli 0.6 38", "0 0"),  # numpy refuses the shape
+], ids=["p0", "p1.5", "p_abc", "n2_x", "index_x", "index_2e19", "n1_2e19"])
 def test_solve_bad_sample_file_exit_1(tmp_path, capsys, header, entry):
     samples = tmp_path / "omega.txt"
     samples.write_text("%s\n%s\n1 2\n" % (header, entry))

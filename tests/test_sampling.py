@@ -66,6 +66,15 @@ def test_sampleset_rejects_out_of_range():
     with pytest.raises(InvalidParameterError):  # not parallel
         SampleSet(n1=2, n2=3, rows=np.array([0, 1]), cols=np.array([0]),
                   model="uniform", p=0.25, m_nominal=1)
+    with pytest.raises(InvalidParameterError):  # past int64
+        SampleSet(n1=2, n2=3, rows=[2 ** 63], cols=[0], model="uniform",
+                  p=0.25, m_nominal=1)
+    for n1, n2 in ((10 ** 20, 3), (2 ** 62, 8), (2 ** 40, 2 ** 20)):
+        # numpy refuses the shape, its byte count overflows, or no
+        # allocator can grant 2^60 bytes: none of them touches memory
+        with pytest.raises(InvalidParameterError, match="too large"):
+            SampleSet(n1=n1, n2=n2, rows=[0], cols=[0], model="uniform",
+                      p=0.25, m_nominal=1)
 
 
 def test_sampleset_derives_index_arrays_once():

@@ -1,9 +1,17 @@
 """Singular-value shrinkage and the completion loop."""
 
+import os
+import re
+import subprocess
+import sys
+import types
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
 
+from mclab import solver
 from mclab.errors import InvalidParameterError
 from mclab.linalg import Rng
 from mclab.models import block_model_spec, gen_lower_bound_block, gen_random_orthogonal
@@ -177,6 +185,47 @@ def test_threshold_is_bit_identical_to_eigh_route(name):
             ref, ref_kept = _eigh_threshold(X, tau, cap)
             np.testing.assert_array_equal(out, ref)
             np.testing.assert_array_equal(kept, ref_kept)
+
+
+def test_threshold_reuses_the_dsyevr_of_a_loaded_scipy_linalg():
+    # this module imports scipy.linalg before any solve runs
+    assert solver._syevr_workspace(7)[0] is scipy.linalg.get_lapack_funcs(("syevr",))[0]
+
+
+_SOLVE_THEN_IMPORT_PROBE = """
+import sys
+import numpy as np
+from mclab.solver import _syevr_workspace, _threshold
+Y = np.random.default_rng(10).standard_normal((12, 7))
+tau = 0.99 * float(np.linalg.svd(Y, compute_uv=False)[1])
+out, kept = _threshold(Y, tau, None)
+assert "scipy.linalg" not in sys.modules, "the threshold step loaded it"
+import scipy.linalg
+assert _syevr_workspace(7)[0] is scipy.linalg.get_lapack_funcs(("syevr",))[0]
+lam, V = scipy.linalg.eigh(Y.T @ Y, subset_by_value=(tau * tau, np.inf), driver="evr")
+lam, V = lam[::-1], V[:, ::-1]
+sigma = np.sqrt(lam)
+s = np.maximum(sigma - tau, 0.0)
+np.testing.assert_array_equal(out, ((Y @ V) * (s / sigma)) @ V.T)
+np.testing.assert_array_equal(kept, s)
+"""
+
+
+def test_scipy_linalg_imported_after_a_solve_adopts_its_dsyevr():
+    src = str(Path(solver.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", _SOLVE_THEN_IMPORT_PROBE],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_missing_lapack_extension_names_its_path(tmp_path, monkeypatch):
+    fake = types.ModuleType("scipy")
+    fake.__path__ = [str(tmp_path)]
+    monkeypatch.setitem(sys.modules, "scipy", fake)
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+    with pytest.raises(ImportError, match=re.escape(str(tmp_path / "linalg" / "_flapack"))):
+        solver._flapack()
 
 
 def test_threshold_applies_rank_cap_and_returns_kept_values():
