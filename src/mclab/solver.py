@@ -83,8 +83,9 @@ def _flapack():
     scipy package is imported (its init readies the bundled OpenBLAS) and
     the extension is loaded from its file under its own name, so a later
     ``import scipy.linalg`` adopts this very module.  Importing
-    scipy.linalg itself would cost about 200 ms, most of it in modules the
-    solver never uses.
+    scipy.linalg itself would also load scipy's array-API layer with
+    numpy.f2py, numpy.testing and numpy.ma, which the solver never uses:
+    about half of a solving process's start-up.
     """
     name = "scipy.linalg._flapack"
     module = sys.modules.get(name)
