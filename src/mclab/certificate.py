@@ -157,8 +157,9 @@ class CertificateReport:
 def _finish_report(T, S, Y, a, lam_min, term_norms=None, truncated=False,
                    iters=0) -> CertificateReport:
     off = np.max(np.abs(Y - project_omega(Y, S)))
-    resid = float(np.linalg.norm(T.apply_pt(Y) - T.e))
-    ptperp = spectral_norm(T.apply_ptperp(Y))
+    PY = T.apply_pt(Y)
+    resid = float(np.linalg.norm(PY - T.e))
+    ptperp = spectral_norm(Y - PY)
     injective = bool(a < 1.0 and lam_min >= S.p * (1.0 - a) / 2.0)
     return CertificateReport(
         Y=Y, resid_t=resid, supp_ok=bool(off == 0.0), ptperp_norm=float(ptperp),
@@ -243,6 +244,10 @@ def build_certificate_cg(T: TangentSpace, S: SampleSet, tol: float = 1e-10,
     return _finish_report(T, S, Y, a, lam_min, iters=iters)
 
 
+# the builders by name, for try_build_certificate and the cert_method key
+CERT_METHODS = {"neumann": build_certificate_neumann, "cg": build_certificate_cg}
+
+
 def try_build_certificate(T: TangentSpace, S: SampleSet, method: str = "neumann",
                           **kw) -> CertificateReport:
     """Build a certificate, degrading gracefully on divergence.
@@ -252,11 +257,10 @@ def try_build_certificate(T: TangentSpace, S: SampleSet, method: str = "neumann"
     instead of raising, which is what the experiment drivers want.  Its
     a_stat and lam_min are the ones the refused build computed.
     """
-    builder = {"neumann": build_certificate_neumann, "cg": build_certificate_cg}
-    if method not in builder:
+    if method not in CERT_METHODS:
         raise InvalidParameterError("unknown certificate method %r" % method)
     try:
-        return builder[method](T, S, **kw)
+        return CERT_METHODS[method](T, S, **kw)
     except (DivergenceError, InjectivityError, ConvergenceError) as exc:
         return CertificateReport(
             Y=None, resid_t=None, supp_ok=False, ptperp_norm=None,

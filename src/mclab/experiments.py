@@ -27,6 +27,7 @@ from itertools import product
 import numpy as np
 
 from .certificate import (
+    CERT_METHODS,
     decide,
     estimate_trace_moment,
     try_build_certificate,
@@ -148,6 +149,8 @@ def _validate(cfg: ExperimentConfig):
         raise InvalidParameterError("equiv_p must be 'm' or '2m'")
     if not 0.0 < cfg.delta < 1.0:
         raise InvalidParameterError("delta must lie in (0, 1)")
+    if cfg.solver_max_iter < 1:
+        raise InvalidParameterError("solver_max_iter must be >= 1")
     if cfg.threads != 1:
         raise InvalidParameterError("threads must be 1: cells run in order")
     if cfg.format not in _WRITERS:
@@ -166,8 +169,8 @@ def _validate(cfg: ExperimentConfig):
                                         % (cfg.m_grid, n))
     if "p_grid" in axes and not all(0.0 < p <= 1.0 for p in cfg.p_grid):
         raise InvalidParameterError("p must lie in (0, 1]")
-    if cfg.kind == "cert" and cfg.cert_method not in ("neumann", "cg"):
-        raise InvalidParameterError("cert_method must be neumann or cg")
+    if cfg.kind == "cert" and cfg.cert_method not in CERT_METHODS:
+        raise InvalidParameterError("cert_method must be one of %s" % (tuple(CERT_METHODS),))
     if cfg.kind == "moments" and cfg.trials < 2:
         raise InvalidParameterError("moments need trials >= 2")
     # each model's draw-free rules on every (n, r, mu0) a cell draws, before

@@ -6,8 +6,8 @@ experiment rows and serialized artifacts are bit-reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -30,10 +30,10 @@ def _powers(init: int, mult: int, count: int) -> np.ndarray:
                     dtype=np.uint32)
 
 
-# SeedSequence(seed, spawn_key=(key,)) with a 64-bit seed hashes four
-# zero-padded seed words (hash constants 0-3), mixes them pairwise (4-15),
-# then each key word into every pool word (16-19 and 20-23); the hash steps
-# of generate_state(4, uint64) use the B constants.
+# SeedSequence(seed, spawn_key=(key,)) with a 64-bit seed hashes the seed
+# into its pool (hash constants 0-15), then mixes each key word into every
+# pool word (16-19 and 20-23); the hash steps of generate_state(4, uint64)
+# use the B constants.
 _CONSTS_A = _powers(_INIT_A, _MULT_A, 25)
 _CONSTS_B = _powers(_INIT_B, _MULT_B, 9)
 
@@ -43,22 +43,18 @@ def _mix(x, y):
     return out ^ (out >> _XSHIFT)
 
 
-def _hashmix(value, i: int, width: int = 1):
-    """hashmix of value with the hash constants i .. i + width - 1."""
-    out = (value ^ _CONSTS_A[i:i + width]) * _CONSTS_A[i + 1:i + width + 1]
+def _hashmix(value, i: int):
+    """hashmix of value into each of the four pool words, with the hash
+    constants i .. i + 3."""
+    out = (value ^ _CONSTS_A[i:i + 4]) * _CONSTS_A[i + 1:i + 5]
     return out ^ (out >> _XSHIFT)
 
 
 @lru_cache(maxsize=8)
 def _seed_pool(seed: int) -> np.ndarray:
-    """SeedSequence's pool after hashing a 64-bit seed, before the key."""
-    pool = _hashmix(np.array([seed & _MASK32, seed >> 32, 0, 0], dtype=np.uint32), 0, 4)
-    c = 4
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst:dst + 1] = _mix(pool[dst:dst + 1], _hashmix(pool[src:src + 1], c))
-                c += 1
+    """The pool of SeedSequence(seed) for a 64-bit seed: a keyed
+    SeedSequence's pool before it mixes in the key words."""
+    pool = np.random.SeedSequence(seed).pool
     pool.flags.writeable = False
     return pool
 
@@ -67,17 +63,18 @@ def _pcg64_words(seed: int, keys: list[int]) -> np.ndarray:
     """Row s holds generate_state(4, uint64) of SeedSequence(seed,
     spawn_key=(keys[s],)), for a seed and keys already masked to 64 bits.
 
-    Only the key differs between rows, so the seed's pool is hashed once
-    and the key words are mixed in as uint32 array operations.
+    Only the key differs between rows, so the seed's pool comes from numpy
+    once, and the key words and generate_state, which numpy runs for one
+    stream at a time, run over all the rows as uint32 array operations.
     """
     key = np.array(keys, dtype=np.uint64)
     lo = (key & _MASK32).astype(np.uint32)[:, None]
-    pool = _mix(_seed_pool(seed), _hashmix(lo, 16, 4))
+    pool = _mix(_seed_pool(seed), _hashmix(lo, 16))
     # a key below 2**32 (0 too) is one word, a larger key two
     two = np.flatnonzero(key >> 32)
     if two.size:
         hi = (key[two] >> 32).astype(np.uint32)[:, None]
-        pool[two] = _mix(pool[two], _hashmix(hi, 20, 4))
+        pool[two] = _mix(pool[two], _hashmix(hi, 20))
     state = pool[:, [0, 1, 2, 3, 0, 1, 2, 3]] ^ _CONSTS_B[:8]
     state *= _CONSTS_B[1:]
     state ^= state >> _XSHIFT
@@ -114,19 +111,13 @@ class Rng:
 
     seed: int
     stream: int = 0
-    _gen: np.random.Generator | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
-    @property
+    @cached_property
     def gen(self) -> np.random.Generator:
-        if self._gen is None:
-            ss = np.random.SeedSequence(
-                entropy=self.seed & _MASK64, spawn_key=(self.stream & _MASK64,)
-            )
-            # what default_rng(ss) builds, without its argument dispatch
-            self._gen = np.random.Generator(np.random.PCG64(ss))
-        return self._gen
+        ss = np.random.SeedSequence(entropy=self.seed & _MASK64,
+                                    spawn_key=(self.stream & _MASK64,))
+        # what default_rng(ss) builds, without its argument dispatch
+        return np.random.Generator(np.random.PCG64(ss))
 
     @classmethod
     def batch(cls, seed: int, streams) -> list["Rng"]:
@@ -139,7 +130,7 @@ class Rng:
         words = _pcg64_words(seed & _MASK64, [rng.stream & _MASK64 for rng in rngs])
         preset = _preset_words()
         for rng, w in zip(rngs, words):
-            rng._gen = np.random.Generator(np.random.PCG64(preset(w)))
+            rng.gen = np.random.Generator(np.random.PCG64(preset(w)))
         return rngs
 
     def substream(self, k: int) -> "Rng":

@@ -81,11 +81,11 @@ def _flapack():
 
     The module already loaded is reused.  Otherwise only the top-level
     scipy package is imported (its init readies the bundled OpenBLAS) and
-    the extension is loaded from its file under its own name, so a later
-    ``import scipy.linalg`` adopts this very module.  Importing
-    scipy.linalg itself would also load scipy's array-API layer with
-    numpy.f2py, numpy.testing and numpy.ma, which the solver never uses:
-    about half of a solving process's start-up.
+    the extension is found in scipy's linalg directory and loaded under
+    its own name, so a later ``import scipy.linalg`` adopts this very
+    module.  Importing scipy.linalg itself would also load scipy's
+    array-API layer with numpy.f2py, numpy.testing and numpy.ma, which the
+    solver never uses: about half of a solving process's start-up.
     """
     name = "scipy.linalg._flapack"
     module = sys.modules.get(name)
@@ -93,15 +93,13 @@ def _flapack():
         return module
     import scipy
 
-    stem = os.path.join(scipy.__path__[0], "linalg", "_flapack")
-    paths = [stem + suffix for suffix in importlib.machinery.EXTENSION_SUFFIXES]
-    path = next((path for path in paths if os.path.exists(path)), None)
-    if path is None:
-        raise ImportError("scipy's LAPACK extension is missing: %s" % paths[0],
-                          name=name, path=paths[0])
-    loader = importlib.machinery.ExtensionFileLoader(name, path)
-    module = importlib.util.module_from_spec(importlib.util.spec_from_loader(name, loader))
-    loader.exec_module(module)
+    path = os.path.join(scipy.__path__[0], "linalg", "_flapack")
+    spec = importlib.machinery.PathFinder.find_spec(name, [os.path.dirname(path)])
+    if spec is None:
+        raise ImportError("scipy's LAPACK extension is missing: %s" % path,
+                          name=name, path=path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
     sys.modules[name] = module
     return module
 

@@ -163,8 +163,13 @@ def test_validation_failures_surface():
     dict(model="low_coherence", mu_b_cap=float("nan")),
     dict(kind="moments", model="low_coherence", p_grid=(0.5,),
          mu_b_cap=float("nan")),
+    # a cap below 1, also where decide refutes every side and no solve
+    # would run (m = 10 < dim T = 15)
+    dict(solver_max_iter=0),
+    dict(kind="equiv", m_grid=(10,), trials=2, solver_max_iter=0),
 ], ids=["uniform_bounded", "block", "low_coherence", "lower", "trials_wrap",
-        "lower_mu0_nan", "block_mu0_nan", "mu_b_cap_nan", "moments_mu_b_cap_nan"])
+        "lower_mu0_nan", "block_mu0_nan", "mu_b_cap_nan", "moments_mu_b_cap_nan",
+        "solver_max_iter", "equiv_all_refuted_solver_max_iter"])
 def test_undrawable_cell_is_refused_before_any_cell_runs(monkeypatch, kw):
     def no_cell(*args, **kwargs):
         raise AssertionError("a cell ran before the config was refused")
@@ -515,6 +520,18 @@ complete(sample_bernoulli(6, 0.8, Rng(1)), [[1.0] * 6] * 6)
 assert "scipy.linalg._flapack" in sys.modules, "the solve did not load LAPACK"
 assert "scipy.linalg" not in sys.modules, "the solve loaded it"
 """
+
+
+def test_import_loads_neither_numpy_random_nor_scipy():
+    # Rng builds its generators and its preset-words type on first use, and
+    # the solver imports scipy only for its first threshold step
+    probe = ("import sys, mclab\n"
+             "assert 'numpy.random' not in sys.modules, 'numpy.random'\n"
+             "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy'], 'scipy'\n")
+    src = str(Path(experiments.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_no_run_loads_scipy_linalg():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from mclab.errors import InvalidParameterError
-from mclab.linalg import Rng, haar_orthogonal, spectral_norm
+from mclab.linalg import Rng, _preset_words, haar_orthogonal, spectral_norm
 
 
 def _rand(n, m, seed):
@@ -62,6 +62,23 @@ def test_rng_batch_of_one_and_of_none():
     assert rng == Rng(9, 2**33 + 4)
     _assert_draws_equal(rng.gen, _default_rng(9, 2**33 + 4))
     assert Rng.batch(9, []) == []
+
+
+def test_rng_gen_is_cached_and_ignored_by_eq_and_repr():
+    rng = Rng(1, 2)
+    assert rng.gen is rng.gen
+    # successive draws advance the one generator
+    first, second = rng.gen.random(3), rng.gen.random(3)
+    np.testing.assert_array_equal(np.concatenate([first, second]), Rng(1, 2).gen.random(6))
+    # a batch presets each generator from its words; reading .gen keeps it
+    batch = Rng.batch(1, [2, 3])
+    preset = [vars(r)["gen"] for r in batch]
+    assert all(r.gen is g for r, g in zip(batch, preset))
+    assert all(isinstance(g.bit_generator.seed_seq, _preset_words()) for g in preset)
+    assert isinstance(rng.gen.bit_generator.seed_seq, np.random.SeedSequence)
+    # == and repr see only seed and stream, drawn from or not
+    assert rng == Rng(1, 2) == batch[0]
+    assert repr(rng) == repr(Rng(1, 2)) == repr(batch[0]) == "Rng(seed=1, stream=2)"
 
 
 def test_rng_substream_distinct_from_parent_and_siblings():
