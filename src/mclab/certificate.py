@@ -58,7 +58,7 @@ from .linalg import Rng, spectral_norm
 from .sampling import (
     SampleSet,
     _chunks,
-    _q_mask,
+    _q_coef,
     project_omega,
     q_omega,
     sample_bernoulli,
@@ -348,7 +348,10 @@ def decide(T: TangentSpace, S: SampleSet) -> Decision:
        certificate has |Y|_F >= <Y, H> / |P_Omega H|_F = |h|^2 / |phi h|
        and |Y|_F^2 = r + |P_Tperp Y|_F^2 <= r + (n - r) ||P_Tperp Y||^2,
        which bounds ||P_Tperp Y|| from below.  Refuted when that bound
-       clears 1, undecided otherwise.
+       clears 1, undecided otherwise.  When |phi h| is rounding noise
+       against |h| the exact bound is inf (G is singular along h); when h
+       is rounding noise against e_T the exit refutes nothing and lower is
+       0.
     2. Minimum-norm certificate: Y0 = phi G^{-1} e_T on Omega has
        P_T Y0 = E, so upper = ||Y0 - E||; certified when upper < 1.
     3. Dual witness: Z = u1 v1^T of Y0 - E with its Omega entries replaced
@@ -371,8 +374,16 @@ def decide(T: TangentSpace, S: SampleSet) -> Decision:
         h = Q[:, null] @ (Q[:, null].T @ e_t)
         hh = float(h @ h)
         ph = float(np.linalg.norm(T.embed(h)[S.mask]))
-        bound_sq = hh * hh / (ph * ph) if ph > 0.0 else (np.inf if hh > 0.0 else 0.0)
-        lower = float(np.sqrt(max(bound_sq - r, 0.0) / max(n - r, 1)))
+        # eigh resolves G's Rayleigh quotients only to about dim * eps (see
+        # _NULL_TOL), so a squared length within that of its reference's is
+        # rounding noise; |e_T|^2 = r
+        noise = T.dim * np.finfo(float).eps
+        if hh <= noise * r:
+            lower = 0.0
+        elif ph * ph <= noise * hh:
+            lower = np.inf
+        else:
+            lower = float(np.sqrt(max(hh * hh / (ph * ph) - r, 0.0) / max(n - r, 1)))
         verdict = "refuted" if lower > 1.0 + _REFUTE_MARGIN else "undecided"
         return Decision(verdict, "null", np.inf, lower, lam_min)
 
@@ -404,13 +415,16 @@ class ChainNorms:
     qt: np.ndarray
 
 
-def _chain(X: np.ndarray, mask: np.ndarray, p: float, step, k: int) -> list[np.ndarray]:
+def _chain(X: np.ndarray, coef: np.ndarray, step, k: int) -> list[np.ndarray]:
     """[X, Q_Om step(X), ..., (Q_Om step)^k X] for step = T.apply_pt or
-    T.apply_qt, with Q_Om given by the mask of Omega and its rate p.  X and
-    mask may be stacks (..., n, n), one matrix and mask per trial."""
+    T.apply_qt, with Q_Om the multiply by coef = ``sampling._q_coef`` of
+    Omega.  X and coef may be stacks (..., n, n) of one shape, one matrix and
+    one coefficient array per trial."""
     out = [X]
     for _ in range(k):
-        out.append(_q_mask(step(out[-1]), mask, p))
+        Y = step(out[-1])
+        Y *= coef
+        out.append(Y)
     return out
 
 
@@ -420,9 +434,9 @@ def neumann_term_norms(T: TangentSpace, S: SampleSet, k_max: int) -> ChainNorms:
     if not (0 <= k_max <= _MAX_CHAIN_LEN):
         raise InvalidParameterError("k_max must lie in [0, %d]" % _MAX_CHAIN_LEN)
     QE = q_omega(T.e, S)
-    pt = [spectral_norm(X) for X in _chain(QE, S.mask, S.p, T.apply_pt, k_max)]
-    qt = pt[:1] + [spectral_norm(X)
-                   for X in _chain(QE, S.mask, S.p, T.apply_qt, k_max)[1:]]
+    coef = _q_coef(S.mask, S.p)
+    pt = [spectral_norm(X) for X in _chain(QE, coef, T.apply_pt, k_max)]
+    qt = pt[:1] + [spectral_norm(X) for X in _chain(QE, coef, T.apply_qt, k_max)[1:]]
     return ChainNorms(pt=np.array(pt), qt=np.array(qt))
 
 
@@ -513,13 +527,14 @@ def check_pt_expansion(T: TangentSpace, S: SampleSet, k: int, trials: int = 3,
     if rng is None:
         rng = Rng(0)
     co = neumann_coeffs(k, T.rho_prime, S.p)
+    coef = _q_coef(S.mask, S.p)
     worst = 0.0
     for t in range(trials):
         X = rng.substream(t).gen.standard_normal((T.n, T.n))
         QX = q_omega(X, S)
-        lhs = _chain(QX, S.mask, S.p, T.apply_pt, k)[-1]
-        a_chain = _chain(QX, S.mask, S.p, T.apply_qt, k)
-        b_chain = _chain(X, S.mask, S.p, T.apply_qt, k)
+        lhs = _chain(QX, coef, T.apply_pt, k)[-1]
+        a_chain = _chain(QX, coef, T.apply_qt, k)
+        b_chain = _chain(X, coef, T.apply_qt, k)
         rhs = np.zeros_like(X)
         for j, c in enumerate(co.alpha):
             rhs += c * a_chain[j]
@@ -556,19 +571,24 @@ class MomentEstimate:
     closed_form: float | None
 
 
-def _trace_gram_power(A: np.ndarray, j: int) -> float:
-    """tr((A^T A)^j) as one sum of squares, so nothing cancels.
+def _trace_gram_power(A: np.ndarray, j: int) -> np.ndarray:
+    """tr((A^T A)^j) for each matrix A of a stack (N, n, n), each as one sum
+    of squares, so nothing cancels.
 
     With B = A^T A and h = j // 2 it is ||B^h||_F^2 for even j and
-    ||A B^h||_F^2 for odd j.
+    ||A B^h||_F^2 for odd j.  The products are stacked matmuls, which run
+    each matrix's product as its own BLAS call, and each sum of squares is a
+    batched (1 x n^2)(n^2 x 1) matmul, which numpy hands to the BLAS ddot
+    that np.vdot calls: every trace has the bits of its matrix taken alone.
     """
     C = A
     if j > 1:
-        B = A.T @ A
+        B = np.swapaxes(A, -1, -2) @ A
         C = A if j % 2 else B
         for _ in range((j - 1) // 2):
             C = C @ B
-    return float(np.vdot(C, C))
+    c = C.reshape(len(C), 1, -1)
+    return (c @ np.swapaxes(c, -1, -2)).ravel()
 
 
 def _moment_bounds(jk: int, n: int, r_mu: float, m: float) -> tuple[float, float]:
@@ -614,12 +634,12 @@ def estimate_trace_moment(gen_model, n: int, r: int, p: float, j: int, k: int,
     gen_model(n, r, rng) must return a GroundTruth; the instance is drawn
     once and the tangent space held fixed while Omega varies.  Trials run in
     chunks: a chunk's generators are seeded in one pass, its masks drawn one
-    trial at a time and stacked, and the chain runs once on the stack, each
-    product per matrix, so every trial's A is bit-identical to a chain run
-    on its own.  Each trial's trace is taken through powers of the Gram
-    matrix A^T A, with no singular values.  For j=1, k=0 the exact mean is
-    (1-p) r / p, which the tests pin down.  A bound past the float range is
-    inf.
+    trial at a time and stacked into one stack of Q_Om coefficients, and the
+    chain and the traces run once on the stack, each product per matrix, so
+    every trial's A and trace are bit-identical to a chain run on its own.
+    Each trace is taken through powers of the Gram matrix A^T A, with no
+    singular values.  For j=1, k=0 the exact mean is (1-p) r / p, which the
+    tests pin down.  A bound past the float range is inf.
     """
     if j < 1 or k < 0:
         raise InvalidParameterError("need j >= 1 and k >= 0")
@@ -640,8 +660,9 @@ def estimate_trace_moment(gen_model, n: int, r: int, p: float, j: int, k: int,
     for chunk in _chunks(trials, T.e.nbytes):  # one n x n float array a trial
         subs = Rng.batch(rng.seed, [rng.substream(t + 1).stream for t in chunk])
         mask = np.stack([sample_bernoulli(n, p, sub).mask for sub in subs])
-        A = _chain(_q_mask(T.e, mask, p), mask, p, T.apply_qt, k)[-1]
-        vals[chunk.start:chunk.stop] = [_trace_gram_power(a, j) for a in A]
+        coef = _q_coef(mask, p)
+        A = _chain(coef * T.e, coef, T.apply_qt, k)[-1]
+        vals[chunk.start:chunk.stop] = _trace_gram_power(A, j)
 
     mean = float(np.mean(vals))
     stderr = float(_std(vals) / np.sqrt(trials))

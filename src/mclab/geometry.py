@@ -11,8 +11,8 @@ projections used everywhere downstream are
 Q_T is the zero-mean version of P_T under a uniformly random coordinate
 pair, and factors exactly as
 (1 - rho) Q_U X + (1 - rho) X Q_V - Q_U X Q_V with Q_U = P_U - rho I.
-All apply paths cost O(n^2 r); the dense n x n projectors are kept only
-for entrywise diagnostics.
+All apply paths cost O(n^2 r); the dense n x n projectors P_U, P_V, Q_U
+and Q_V serve only entrywise diagnostics and are formed on first read.
 
 T also has orthonormal coordinates of length dim T = 2nr - r^2
 (``coords`` and its inverse ``embed``), in which P_T P_Omega P_T is the
@@ -65,16 +65,32 @@ class TangentSpace:
         self.n, self.r = U.shape
         self.rho = self.r / self.n
         self.rho_prime = 2.0 * self.rho - self.rho ** 2
-        self.pu = U @ U.T
-        self.pv = V @ V.T
         self.e = U @ V.T
-        self.qu = self.pu - self.rho * np.eye(self.n)
-        self.qv = self.pv - self.rho * np.eye(self.n)
 
     @property
     def dim(self) -> int:
         """Dimension of T as a linear space: 2nr - r^2."""
         return 2 * self.n * self.r - self.r * self.r
+
+    @cached_property
+    def pu(self) -> np.ndarray:
+        """P_U = U U^T."""
+        return self.U @ self.U.T
+
+    @cached_property
+    def pv(self) -> np.ndarray:
+        """P_V = V V^T."""
+        return self.V @ self.V.T
+
+    @cached_property
+    def qu(self) -> np.ndarray:
+        """Q_U = P_U - rho I."""
+        return self.pu - self.rho * np.eye(self.n)
+
+    @cached_property
+    def qv(self) -> np.ndarray:
+        """Q_V = P_V - rho I."""
+        return self.pv - self.rho * np.eye(self.n)
 
     @cached_property
     def u_perp(self) -> np.ndarray:
@@ -154,13 +170,23 @@ class TangentSpace:
         matrix of a stack comes out bit-identical to its own call.  (Folding
         the stack into one GEMM through reshapes is not: at n = 13 or 17 its
         rows or columns fall into other kernel blocks and round differently.)
+        The elementwise steps are those of
+        (1 - rho) (Q_U X + X Q_V) - Q_U X Q_V, in the same order, with rho X
+        formed once and the rest done in place.
         """
         X = np.asarray(X, dtype=float)
         rho = self.rho
-        qu_x = self.U @ (self.U.T @ X) - rho * X
-        x_qv = (X @ self.V) @ self.V.T - rho * X
-        qu_x_qv = (qu_x @ self.V) @ self.V.T - rho * qu_x
-        return (1.0 - rho) * (qu_x + x_qv) - qu_x_qv
+        rho_x = rho * X
+        qu_x = self.U @ (self.U.T @ X)
+        qu_x -= rho_x
+        x_qv = (X @ self.V) @ self.V.T
+        x_qv -= rho_x
+        qu_x_qv = (qu_x @ self.V) @ self.V.T
+        qu_x_qv -= np.multiply(rho, qu_x, out=rho_x)
+        qu_x += x_qv
+        qu_x *= 1.0 - rho
+        qu_x -= qu_x_qv
+        return qu_x
 
     def qt_entry(self, a: int, b: int, a2: int, b2: int) -> float:
         """Matrix element <Q_T(e_{a2 b2}), e_{a b}> in closed form:

@@ -151,14 +151,17 @@ def q_omega(X, sset: SampleSet) -> np.ndarray:
     X = _check_shape(X, sset)
     if not (sset.p > 0.0):
         raise InvalidParameterError("q_omega needs a recorded p > 0")
-    return _q_mask(X, sset.mask, sset.p)
+    return _q_coef(sset.mask, sset.p) * X
 
 
-def _q_mask(X, mask, p: float) -> np.ndarray:
-    """(1/p) * P_Omega - I applied to X for the boolean mask of Omega, with
-    no checks.  X and mask broadcast, so a stack (..., n, n) of masks applies
-    each trial's operator to its own matrix or to one shared n x n X."""
-    return np.where(mask, (1.0 / p - 1.0) * X, -X)
+def _q_coef(mask, p: float) -> np.ndarray:
+    """The entrywise coefficients of (1/p) * P_Omega - I for the boolean mask
+    of Omega, with no checks: 1/p - 1 on Omega and -1 off it, so that
+    ``_q_coef(mask, p) * X`` applies the operator.  That product has the bits
+    and zero signs of ``np.where(mask, (1/p - 1) * X, -X)``.  A stack
+    (..., n, n) of masks gives one coefficient array per trial, which
+    broadcasts against a stack of matrices or one shared n x n X."""
+    return mask * (1.0 / p) - 1.0
 
 
 # A chunk of trials stacks its n x n arrays into at most this many bytes:

@@ -144,6 +144,29 @@ def test_qt_on_a_stack_is_bit_identical_per_matrix(n, r):
         np.testing.assert_array_equal(T.apply_qt(X), want)
 
 
+def _qt_out_of_place(T, X):
+    """Q_T as apply_qt computed it before it worked in place."""
+    rho = T.rho
+    qu_x = T.U @ (T.U.T @ X) - rho * X
+    x_qv = (X @ T.V) @ T.V.T - rho * X
+    qu_x_qv = (qu_x @ T.V) @ T.V.T - rho * qu_x
+    return (1.0 - rho) * (qu_x + x_qv) - qu_x_qv
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("n", [3, 13, 32])
+def test_qt_in_place_equals_the_out_of_place_expression(n, r):
+    T = _random_t(n, r, 120 + r)
+    gen = np.random.default_rng(n * 10 + r)
+    for shape in [(), (1,), (5,), (2, 3)]:
+        X = gen.standard_normal(shape + (n, n))
+        X0 = X.copy()
+        got, want = T.apply_qt(X), _qt_out_of_place(T, X)
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+        np.testing.assert_array_equal(X, X0)  # the input is left alone
+
+
 def test_qt_square_identity_and_norm_bound():
     T = _random_t(12, 2, 108)
     rp = T.rho_prime
@@ -265,3 +288,14 @@ def test_cancellation_detects_broken_orthonormality():
     T.__dict__["e"] = U @ T.V.T
     rep = check_cancellation(T)
     assert rep.max_violation > 1e-4
+
+
+def test_dense_projectors_are_formed_on_first_read():
+    T = _random_t(9, 2, 302)
+    assert not {"pu", "pv", "qu", "qv"} & set(vars(T))
+    T.apply_qt(T.e)
+    T.coords(T.e)
+    assert not {"pu", "pv", "qu", "qv"} & set(vars(T))
+    np.testing.assert_array_equal(T.qu, T.U @ T.U.T - T.rho * np.eye(9))
+    np.testing.assert_array_equal(T.qv, T.V @ T.V.T - T.rho * np.eye(9))
+    assert T.pu is T.pu and T.qv is T.qv

@@ -11,6 +11,7 @@ from mclab.errors import InvalidParameterError
 from mclab.linalg import Rng
 from mclab.sampling import (
     SampleSet,
+    _q_coef,
     from_text,
     project_omega,
     q_omega,
@@ -244,6 +245,36 @@ def test_q_omega_zero_mean_over_bernoulli():
     # per-entry variance of the multiplier is (1-p)/p
     se = np.abs(X) * math.sqrt((1 - p) / p / draws)
     assert np.all(np.abs(mean) <= 4 * se + 1e-12)
+
+
+def _q_where(X, mask, p):
+    """Q_Omega as it was applied before the coefficient form."""
+    return np.where(mask, (1.0 / p - 1.0) * X, -X)
+
+
+def _assert_same_bits(got, want):
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("p", [0.05, 0.37, 1.0])
+@pytest.mark.parametrize("n", [1, 13, 17, 32])
+def test_q_coef_multiply_has_the_bits_of_the_masked_select(n, p):
+    # values and zero signs, for one shared X and for stacks of X, whether
+    # the stack of masks comes from the samplers or is drawn directly
+    gen = np.random.default_rng(n * 100 + int(100 * p))
+    masks = np.stack([sample_bernoulli(n, p, Rng(8, t)).mask for t in range(5)])
+    masks[0] = gen.random((n, n)) < 0.5
+    X = gen.standard_normal((5, n, n))
+    X[:, ::2, ::3] = 0.0
+    X[:, 1::2, ::3] = -0.0
+    coef = _q_coef(masks, p)
+    _assert_same_bits(coef * X[0], _q_where(X[0], masks, p))
+    _assert_same_bits(coef * X, _q_where(X, masks, p))
+    for mask, x in zip(masks, X):
+        _assert_same_bits(_q_coef(mask, p) * x, _q_where(x, mask, p))
+        S = SampleSet._of_mask(mask, "bernoulli", p, round(p * n * n))
+        _assert_same_bits(q_omega(x, S), _q_where(x, mask, p))
 
 
 def test_q_omega_requires_positive_p():
