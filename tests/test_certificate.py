@@ -626,7 +626,8 @@ def test_decide_is_invariant_under_the_problem_symmetries():
     # the program to an equivalent one
     # the 40 instances, and seed 17 at n=12, r=1, whose Omega has an empty
     # column, for the null exit
-    cases = [(n, r, seed) for n in (12, 16, 24, 32) for r in (1, 2) for seed in range(5)]
+    cases = [(n, r, seed)
+             for n in (12, 16, 24, 32) for r in (1, 2) for seed in range(5)]
     reasons = set()
     for n, r, seed in cases + [(12, 1, 17)]:
         T = gen_random_orthogonal(n, r, Rng(seed, 0)).tangent_space()
@@ -652,8 +653,8 @@ def test_decide_is_invariant_under_the_problem_symmetries():
 
 def test_decide_null_exit_is_inf_when_phi_h_is_rounding_noise():
     # an empty column makes G singular along h, so no certificate exists and
-    # |phi h| is rounding noise; dividing by it gave lower 3.7e14 here and
-    # 1.44e14 on the transposed problem
+    # |phi h| is rounding noise; dividing by it would give lower 3.7e14 here
+    # and 1.44e14 on the transposed problem
     T = gen_random_orthogonal(12, 1, Rng(17)).tangent_space()
     S = sample_uniform(12, 69, Rng(17, 1))
     assert not S.mask.any(axis=0).all()
@@ -666,8 +667,8 @@ def test_decide_null_exit_is_inf_when_phi_h_is_rounding_noise():
 @pytest.mark.parametrize("r", [1, 2])
 def test_decide_null_exit_refutes_nothing_when_h_is_rounding_noise(r):
     # U's last row is 1e-13 of the rest and Omega's last row is empty, so
-    # e_T's part in the null space is rounding noise: the exit refuted
-    # with lower 20 to 140 on such instances, a quotient of noise
+    # e_T's part in the null space is rounding noise; a quotient of noise
+    # would refute these instances with lower 20 to 140
     n = 8
     for seed in range(3):
         U = haar_orthogonal(n, Rng(seed, 0))[:, :r]
