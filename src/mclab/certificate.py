@@ -85,6 +85,8 @@ def _check_pair(T: TangentSpace, S: SampleSet):
     _check_grid(T, S)
     if S.size == 0:
         raise InvalidParameterError("sample set is empty")
+    if not 0.0 < S.p <= 1.0:  # NaN fails it too; a and the chains divide by p
+        raise InvalidParameterError("p must lie in (0, 1], got %r" % (S.p,))
 
 
 def _spectrum_edges(T: TangentSpace, S: SampleSet) -> tuple[np.ndarray, float, float]:

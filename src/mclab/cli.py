@@ -41,18 +41,14 @@ _NUMERIC_ERRORS = (NumericFailureError, GenerationFailureError)
 _SOLVER_FLAGS = {name: (typing.get_args(hint) or (hint,))[0]
                  for name, hint in typing.get_type_hints(SolverParams).items()}
 
-# config keys with a shorthand flag: --KEY VALUE is --set KEY=VALUE, applied
-# after every --set
-_SHORTHANDS = {"seed": "base seed", "format": "output format"}
-
 
 def _add_experiment_flags(sub):
     sub.add_argument("--config", help="key=value config file")
     sub.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                      help="override a config key (repeatable)")
-    sub.add_argument("--out", help="output path (default <kind>.<format>)")
-    for key, blurb in _SHORTHANDS.items():
-        sub.add_argument("--" + key, help="%s; same as --set %s=VALUE" % (blurb, key))
+    sub.add_argument("--out", help="output path (default <kind>.csv)")
+    sub.add_argument("--seed", help="base seed; same as --set seed=VALUE, applied "
+                                    "after every --set")
 
 
 def _check_out(path: str) -> str:
@@ -70,17 +66,15 @@ def _cmd_experiment(kind: str, args) -> int:
     if args.config:
         with open(args.config) as fh:
             cfg = parse_config(fh.read(), base=cfg)
-    apply_overrides(cfg, args.set + ["%s=%s" % (key, getattr(args, key))
-                                     for key in _SHORTHANDS
-                                     if getattr(args, key) is not None])
+    apply_overrides(cfg, args.set + ([] if args.seed is None else ["seed=" + args.seed]))
     if cfg.kind and cfg.kind != kind:
         raise InvalidParameterError(
             "config kind %r conflicts with subcommand %r" % (cfg.kind, kind)
         )
     cfg.kind = kind
-    out = _check_out(args.out or cfg.out or (kind + "." + cfg.format))
+    out = _check_out(args.out or cfg.out or kind + ".csv")
     rows = run(cfg)
-    emit(rows, out, cfg.format)
+    emit(rows, out)
     print("wrote %d rows to %s" % (len(rows), out))
     return 0
 

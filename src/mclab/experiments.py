@@ -89,7 +89,6 @@ class ExperimentConfig:
     record_timing: int = 0
     threads: int = 1  # only 1 is accepted; perfbench/workloads.py still sets it
     out: str = ""
-    format: str = "csv"
 
 
 def _value_parser(hint):
@@ -153,8 +152,6 @@ def _validate(cfg: ExperimentConfig):
         raise InvalidParameterError("solver_max_iter must be >= 1")
     if cfg.threads != 1:
         raise InvalidParameterError("threads must be 1: cells run in order")
-    if cfg.format not in _WRITERS:
-        raise InvalidParameterError("format must be one of %s" % (tuple(_WRITERS),))
     axes = KINDS[cfg.kind][0]
     for axis in axes + ("mu0_grid",):  # every kind reads mu0_grid[0] or each mu0
         if not getattr(cfg, axis):
@@ -511,58 +508,9 @@ def rows_from_csv(text: str) -> list[ExperimentRow]:
     return rows
 
 
-def _svg_scatter(rows) -> str:
-    """Self-contained scatter of success_rate against m (or p), one series
-    color per (n, r)."""
-    width, height, margin = 640, 420, 50
-    xs = [row.m if row.m else row.p for row in rows]
-    ys = [row.success_rate for row in rows]
-    x_lo, x_hi = min(xs), max(xs)
-    if x_hi == x_lo:
-        x_hi = x_lo + 1
-    palette = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
-    series = sorted({(row.n, row.r) for row in rows})
-    color = {key: palette[i % len(palette)] for i, key in enumerate(series)}
-
-    def sx(x):
-        return margin + (width - 2 * margin) * (x - x_lo) / (x_hi - x_lo)
-
-    def sy(y):
-        return height - margin - (height - 2 * margin) * y
-
-    parts = [
-        '<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d">' % (width, height),
-        '<rect width="%d" height="%d" fill="white"/>' % (width, height),
-        '<line x1="%g" y1="%g" x2="%g" y2="%g" stroke="black"/>'
-        % (margin, height - margin, width - margin, height - margin),
-        '<line x1="%g" y1="%g" x2="%g" y2="%g" stroke="black"/>'
-        % (margin, margin, margin, height - margin),
-        '<text x="%g" y="%g" font-size="12">m</text>' % (width - margin, height - margin + 30),
-        '<text x="%g" y="%g" font-size="12">success rate</text>' % (5, margin - 20),
-    ]
-    for frac in (0.0, 0.5, 1.0):
-        parts.append('<text x="%g" y="%g" font-size="10">%.1f</text>'
-                     % (margin - 30, sy(frac) + 4, frac))
-    for row, x, y in zip(rows, xs, ys):
-        parts.append('<circle cx="%.2f" cy="%.2f" r="4" fill="%s"/>'
-                     % (sx(x), sy(y), color[(row.n, row.r)]))
-    for i, key in enumerate(series):
-        parts.append('<text x="%g" y="%g" font-size="11" fill="%s">n=%d r=%d</text>'
-                     % (width - margin - 110, margin + 16 * i, color[key], key[0], key[1]))
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
-
-
-# output format -> writer of a list of rows
-_WRITERS = {"csv": rows_to_csv, "svg": _svg_scatter}
-
-
-def emit(rows, path: str, fmt: str = "csv") -> None:
-    """Write rows to path as CSV or a scatter SVG.  Refuses empty input."""
+def emit(rows, path: str) -> None:
+    """Write rows to path as CSV.  Refuses empty input."""
     if not rows:
         raise InvalidParameterError("no rows to emit")
-    if fmt not in _WRITERS:
-        raise InvalidParameterError("format must be one of %s" % (tuple(_WRITERS),))
-    payload = _WRITERS[fmt](rows)
     with open(path, "w") as fh:
-        fh.write(payload)
+        fh.write(rows_to_csv(rows))

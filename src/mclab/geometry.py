@@ -188,25 +188,6 @@ class TangentSpace:
         qu_x -= qu_x_qv
         return qu_x
 
-    def qt_entry(self, a: int, b: int, a2: int, b2: int) -> float:
-        """Matrix element <Q_T(e_{a2 b2}), e_{a b}> in closed form:
-
-        (1-rho) [b==b2] Q_U[a,a2] + (1-rho) [a==a2] Q_V[b,b2]
-            - Q_U[a,a2] Q_V[b,b2]
-        """
-        for idx in (a, b, a2, b2):
-            if not (0 <= idx < self.n):
-                raise InvalidParameterError("index %d out of range [0, %d)"
-                                            % (idx, self.n))
-        qu = self.qu[a, a2]
-        qv = self.qv[b, b2]
-        out = -qu * qv
-        if b == b2:
-            out += (1.0 - self.rho) * qu
-        if a == a2:
-            out += (1.0 - self.rho) * qv
-        return float(out)
-
 
 def tangent_space(U, V) -> TangentSpace:
     """Build the TangentSpace for paired column-orthonormal factors."""

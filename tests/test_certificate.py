@@ -512,6 +512,27 @@ def test_bad_arguments_are_invalid_parameter(call):
         call(T, S)
 
 
+@pytest.mark.parametrize("call", [
+    deviation_stat,
+    build_certificate_neumann,
+    build_certificate_cg,
+    try_build_certificate,
+    lambda T, S: neumann_term_norms(T, S, 2),
+], ids=["deviation", "neumann", "cg", "try_build", "term_norms"])
+@pytest.mark.parametrize("p", [0.0, math.nan, 2.0, -0.5])
+def test_recorded_p_outside_unit_interval_is_invalid(call, p):
+    # a SampleSet (or a from_text file) can carry any p; the engine divides
+    # by it, so a p outside (0, 1] is refused, never turned into a = nan or
+    # a report
+    T = gen_random_orthogonal(12, 1, Rng(3)).tangent_space()
+    S = sample_uniform(12, 80, Rng(4))
+    call(T, S)  # the recorded p is accepted
+    bad = SampleSet(n1=12, n2=12, rows=S.rows, cols=S.cols, model=S.model,
+                    p=p, m_nominal=S.m_nominal)
+    with pytest.raises(InvalidParameterError, match=r"p must lie in \(0, 1\]"):
+        call(T, bad)
+
+
 def test_superset_never_decertifies():
     # observed-property regression: enlarging Omega on 20 pinned seeds
     # keeps every certified instance certified

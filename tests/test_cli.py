@@ -66,15 +66,6 @@ def test_default_output_name_is_kind_dot_format(tmp_path, monkeypatch):
     assert (tmp_path / "lower.csv").exists()
 
 
-def test_svg_format_flag(tmp_path):
-    out = tmp_path / "phase.svg"
-    rc = main(["phase", "--set", "n_grid=8", "--set", "r_grid=1",
-               "--set", "m_grid=40,64", "--set", "trials=4",
-               "--format", "svg", "--out", str(out)])
-    assert rc == 0
-    assert out.read_text().startswith("<svg")
-
-
 def test_config_errors_exit_1(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("m_grid=ten\n")
@@ -90,10 +81,10 @@ def test_config_errors_exit_1(tmp_path, capsys):
     assert main(["phase", "--config", str(tmp_path / "nope.cfg")]) == 1
 
 
-@pytest.mark.parametrize("flag,value", [("--format", "pdf"), ("--seed", "abc")])
+@pytest.mark.parametrize("flag,value", [("--seed", "abc")])
 def test_bad_shorthand_flag_exits_1(tmp_path, capsys, flag, value):
-    # --seed and --format are --set pairs: a bad value is a configuration
-    # error, as with --set
+    # --seed is a --set pair: a bad value is a configuration error, as with
+    # --set
     out = tmp_path / "o.csv"
     assert main(["phase", "--set", "n_grid=8", "--set", "r_grid=1",
                  "--set", "m_grid=40", flag, value, "--out", str(out)]) == 1
@@ -117,27 +108,33 @@ def test_threads_other_than_1_exits_1_before_any_cell(tmp_path, capsys, monkeypa
         assert main(["phase", *argv, "--out", str(out)]) == 1
         assert "threads must be 1" in capsys.readouterr().err
         assert not out.exists()
-    with pytest.raises(SystemExit) as exc:  # no shorthand flag is left
-        main(["phase", "--threads", "1", "--out", str(out)])
-    assert exc.value.code == 2
+    for flag, value in (("--threads", "1"), ("--format", "csv")):
+        with pytest.raises(SystemExit) as exc:  # no such flag is left
+            main(["phase", flag, value, "--out", str(out)])
+        assert exc.value.code == 2
 
 
 def test_shorthand_flags_beat_set(tmp_path):
-    # format=pdf would be refused; the flags are applied last
-    out = tmp_path / "o.csv"
-    assert main(["phase", "--set", "n_grid=8", "--set", "r_grid=1",
-                 "--set", "m_grid=40", "--set", "trials=2",
-                 "--set", "format=pdf", "--format", "csv",
-                 "--out", str(out)]) == 0
-    assert rows_from_csv(out.read_text())[0].trials == 2
+    # the flag is applied last: --seed 3 after --set seed=5 runs seed 3
+    grid = ["--set", "n_grid=8", "--set", "r_grid=1", "--set", "m_grid=40",
+            "--set", "trials=2"]
+    out = {}
+    for name, argv in (("flag", ["--set", "seed=5", "--seed", "3"]),
+                       ("seed3", ["--set", "seed=3"]), ("seed5", ["--set", "seed=5"])):
+        out[name] = tmp_path / (name + ".csv")
+        assert main(["phase", *grid, *argv, "--out", str(out[name])]) == 0
+    assert rows_from_csv(out["flag"].read_text())[0].trials == 2
+    assert out["flag"].read_bytes() == out["seed3"].read_bytes()
+    assert out["flag"].read_bytes() != out["seed5"].read_bytes()
 
 
 @pytest.mark.parametrize("key", ["solver_step", "solver_tol_feas", "solver_tol_obj",
                                  "solver_rank_cap", "cert_kmax", "cert_tol",
-                                 "recover_tol"])
+                                 "recover_tol", "format"])
 def test_retired_solver_and_certificate_keys_are_unknown(tmp_path, capsys, key):
     # the harness runs at the library defaults; SolverParams and the
-    # keywords of recovered and verify_certificate still take other values
+    # keywords of recovered and verify_certificate still take other values;
+    # CSV is the only output format
     out = tmp_path / "o.csv"
     assert main(["phase", "--set", "n_grid=8", "--set", "r_grid=1",
                  "--set", "m_grid=40", "--set", key + "=1", "--out", str(out)]) == 1
@@ -154,9 +151,12 @@ def test_subcommands_are_the_run_kinds_and_the_two_utilities():
 def test_readme_key_block_lists_every_config_key():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = re.search(r"```\n(kind .*?)```", readme, re.S).group(1)
-    missing = [f.name for f in dataclasses.fields(ExperimentConfig)
-               if not re.search(r"\b%s\b" % f.name, block)]
-    assert not missing
+    keys = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    # a key line names one or more keys at its start; continuations indent
+    listed = {key for line in block.splitlines()
+              for key in re.match(r"\w*(?:, \w+)*", line).group().split(", ")
+              if key}
+    assert listed == keys
 
 
 def test_gen_solve_round_trip(tmp_path, capsys):

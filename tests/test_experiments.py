@@ -6,7 +6,6 @@ import itertools
 import os
 import subprocess
 import sys
-import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
@@ -141,8 +140,6 @@ def test_validation_failures_surface():
     with pytest.raises(InvalidParameterError):
         run(_phase_cfg(kind="equiv", equiv_p="3m"))
     with pytest.raises(InvalidParameterError):
-        run(_phase_cfg(format="pdf"))  # refused before any cell runs
-    with pytest.raises(InvalidParameterError):
         run(_phase_cfg(mu0_grid=()))  # every kind reads mu0_grid[0]
 
 
@@ -238,26 +235,13 @@ def test_csv_unparsable_value_is_invalid_parameter():
             rows_from_csv(header + "\n" + ",".join(bad) + "\n")
 
 
-def test_emit_csv_and_svg(tmp_path):
+def test_emit_csv(tmp_path):
     rows = run(_phase_cfg(m_grid=(40, 64)))
     csv_path = tmp_path / "out.csv"
     emit(rows, str(csv_path))
     assert csv_path.read_text() == rows_to_csv(rows)
-    svg_path = tmp_path / "out.svg"
-    emit(rows, str(svg_path), fmt="svg")
-    root = ET.fromstring(svg_path.read_text())
-    assert root.tag.endswith("svg")
-    circles = [el for el in root.iter() if el.tag.endswith("circle")]
-    assert len(circles) == len(rows)
-    # one m across all rows: the x axis still has a nonzero span
-    emit(rows[:1], str(svg_path), fmt="svg")
-    cx = [el.get("cx") for el in ET.fromstring(svg_path.read_text()).iter()
-          if el.tag.endswith("circle")]
-    assert cx == ["50.00"]
     with pytest.raises(InvalidParameterError):
         emit([], str(csv_path))
-    with pytest.raises(InvalidParameterError):
-        emit(rows, str(csv_path), fmt="pdf")
 
 
 # ---------------------------------------------------------- determinism

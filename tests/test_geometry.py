@@ -182,28 +182,33 @@ def test_qt_square_identity_and_norm_bound():
         assert s_out <= 2 * s_in + 1e-9
 
 
+def _unit(n, a, b):
+    e = np.zeros((n, n))
+    e[a, b] = 1.0
+    return e
+
+
 def test_qt_entry_closed_form_and_exhaustive_match():
+    # <Q_T(e_{ab}), e_{a'b'}> read from apply_qt against the closed form
+    # (1-rho) [b=b'] Q_U[a',a] + (1-rho) [a=a'] Q_V[b',b] - Q_U[a',a] Q_V[b',b]
     T = _random_t(6, 2, 109)
     rho = T.rho
     for a in range(6):
         for b in range(6):
-            eab = np.zeros((6, 6))
-            eab[a, b] = 1.0
-            img = T.apply_qt(eab)
+            img = T.apply_qt(_unit(6, a, b))
             for a2 in range(6):
                 for b2 in range(6):
-                    c = T.qt_entry(a2, b2, a, b)
                     want = (
                         (1 - rho) * (b2 == b) * T.qu[a2, a]
                         + (1 - rho) * (a2 == a) * T.qv[b2, b]
                         - T.qu[a2, a] * T.qv[b2, b]
                     )
-                    assert abs(c - want) <= 1e-12
-                    assert abs(c - img[a2, b2]) <= 1e-12
+                    assert abs(img[a2, b2] - want) <= 1e-12
 
 
 def test_qt_entry_magnitude_bound():
     # |c| <= 2 [ (1_{a=a'} + 1_{b=b'}) mu sqrt(r)/n + mu^2 r / n^2 ]
+    # for c = <Q_T(e_{a'b'}), e_{ab}>
     T = _random_t(16, 2, 110)
     inc = incoherence(T)
     mu = max(inc.mu1, inc.mu2)
@@ -211,16 +216,10 @@ def test_qt_entry_magnitude_bound():
     gen = np.random.default_rng(5)
     for _ in range(500):
         a, b, a2, b2 = gen.integers(0, n, size=4)
-        c = T.qt_entry(int(a), int(b), int(a2), int(b2))
+        c = T.apply_qt(_unit(n, a2, b2))[a, b]
         cap = 2 * (((a == a2) + (b == b2)) * mu * np.sqrt(r) / n
                    + mu * mu * r / n / n)
         assert abs(c) <= cap + 1e-12
-
-
-def test_qt_entry_range_check():
-    T = _random_t(5, 1, 111)
-    with pytest.raises(InvalidParameterError):
-        T.qt_entry(5, 0, 0, 0)
 
 
 # ----------------------------------------------------------- incoherence
