@@ -116,16 +116,16 @@ def test_threads_other_than_1_exits_1_before_any_cell(tmp_path, capsys, monkeypa
 
 def test_shorthand_flags_beat_set(tmp_path):
     # the flag is applied last: --seed 3 after --set seed=5 runs seed 3
-    grid = ["--set", "n_grid=8", "--set", "r_grid=1", "--set", "m_grid=40",
-            "--set", "trials=2"]
-    out = {}
-    for name, argv in (("flag", ["--set", "seed=5", "--seed", "3"]),
-                       ("seed3", ["--set", "seed=3"]), ("seed5", ["--set", "seed=5"])):
-        out[name] = tmp_path / (name + ".csv")
-        assert main(["phase", *grid, *argv, "--out", str(out[name])]) == 0
-    assert rows_from_csv(out["flag"].read_text())[0].trials == 2
-    assert out["flag"].read_bytes() == out["seed3"].read_bytes()
-    assert out["flag"].read_bytes() != out["seed5"].read_bytes()
+    def csv(*argv):
+        out = tmp_path / "o.csv"
+        assert main(["phase", "--set", "n_grid=8", "--set", "r_grid=1",
+                     "--set", "m_grid=40", "--set", "trials=2", *argv,
+                     "--out", str(out)]) == 0
+        return out.read_text()
+
+    flagged = csv("--set", "seed=5", "--seed", "3")
+    assert rows_from_csv(flagged)[0].trials == 2
+    assert flagged == csv("--set", "seed=3") != csv("--set", "seed=5")
 
 
 @pytest.mark.parametrize("key", ["solver_step", "solver_tol_feas", "solver_tol_obj",
