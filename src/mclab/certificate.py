@@ -24,9 +24,11 @@ Y has the smallest Frobenius norm, and ||Y||_F^2 = r + ||P_Tperp Y||_F^2.
 The engine works in the orthonormal coordinates of T (``TangentSpace.coords``
 and its inverse ``TangentSpace.embed``, dimension 2nr - r^2).  There
 P_T P_Omega P_T is the tangent Gram matrix G = ``TangentSpace.gram``, built
-from its block structure, and E has coordinates [V; 0].  One symmetric
-eigendecomposition of G gives the exact deviation statistic
-a = max |lam / p - 1| and injectivity floor lam_min = min lam; the Neumann
+from its block structure, and E has coordinates [V; 0].  The two ends of
+G's spectrum give the exact deviation statistic a = max |lam / p - 1|
+and injectivity floor lam_min = min lam: one tridiagonal reduction of G
+and a bisection for each end (``linalg.extreme_eigenvalues``), since
+|lam / p - 1| is largest at one of them.  The Neumann
 series iterates G / p - I and conjugate gradients solve G w = [V; 0], both
 on vectors of length dim T.  Each finished certificate is then checked as
 an n x n matrix, apart from the coordinates that built it.
@@ -54,7 +56,7 @@ from .errors import (
     InvalidParameterError,
 )
 from .geometry import TangentSpace, incoherence
-from .linalg import Rng, spectral_norm
+from .linalg import Rng, extreme_eigenvalues, spectral_norm
 from .sampling import (
     SampleSet,
     _chunks,
@@ -90,11 +92,14 @@ def _check_pair(T: TangentSpace, S: SampleSet):
 
 
 def _spectrum_edges(T: TangentSpace, S: SampleSet) -> tuple[np.ndarray, float, float]:
-    """The tangent Gram matrix G, with (a, lam_min) from its eigenvalues."""
+    """The tangent Gram matrix G, with (a, lam_min) from the two ends of its
+    spectrum: |lam / p - 1| is convex in lam, so its maximum over the
+    spectrum is taken at lam_min or lam_max."""
     _check_pair(T, S)
     G = T.gram(S.mask)
-    lam = np.linalg.eigvalsh(G)
-    return G, float(np.max(np.abs(lam / S.p - 1.0))), float(lam[0])
+    lam_min, lam_max = extreme_eigenvalues(G)
+    a = max(abs(lam_min / S.p - 1.0), abs(lam_max / S.p - 1.0))
+    return G, a, lam_min
 
 
 def _sign_coords(T: TangentSpace) -> np.ndarray:

@@ -2,16 +2,25 @@
 
 Everything here is deterministic given its inputs and an explicit Rng, so
 experiment rows and serialized artifacts are bit-reproducible.
+
+The LAPACK routines that numpy does not expose come from scipy's LAPACK
+extension module, which ``_flapack`` loads on first use without importing
+``scipy.linalg``; the solver's threshold step and ``extreme_eigenvalues``
+share it.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cache, cached_property, lru_cache
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, NumericFailureError
 
 _MASK32 = (1 << 32) - 1
 _MASK64 = (1 << 64) - 1
@@ -160,6 +169,95 @@ def spectral_norm(A) -> float:
     if A.size == 0:
         return 0.0
     return float(np.linalg.norm(A, 2))
+
+
+def _flapack():
+    """scipy's LAPACK extension module ``scipy.linalg._flapack``.
+
+    The module already loaded is reused.  Otherwise only the top-level
+    scipy package is imported (its init readies the bundled OpenBLAS) and
+    the extension is found in scipy's linalg directory and loaded under
+    its own name, so a later ``import scipy.linalg`` adopts this very
+    module.  Importing scipy.linalg itself would also load scipy's
+    array-API layer with numpy.f2py, numpy.testing and numpy.ma, which
+    mclab never uses: about half of a solving process's start-up.
+    """
+    name = "scipy.linalg._flapack"
+    module = sys.modules.get(name)
+    if module is not None:
+        return module
+    import scipy
+
+    path = os.path.join(scipy.__path__[0], "linalg", "_flapack")
+    spec = importlib.machinery.PathFinder.find_spec(name, [os.path.dirname(path)])
+    if spec is None:
+        raise ImportError("scipy's LAPACK extension is missing: %s" % path,
+                          name=name, path=path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[name] = module
+    return module
+
+
+@cache
+def _sytrd_lwork(n: int) -> int:
+    """The optimal ``dsytrd`` workspace at order n, lower triangle.
+
+    The workspace size picks the blocked or unblocked Householder
+    reduction, so it is queried once per order and every call at that
+    order reduces the same way.
+    """
+    work, info = _flapack().dsytrd_lwork(n, lower=1)
+    if info != 0:
+        raise NumericFailureError("dsytrd workspace query failed (info=%d)" % info)
+    return int(work)
+
+
+def _bisect(lapack, d, e, k: int) -> float | None:
+    """The k-th smallest eigenvalue (1-based) of the symmetric tridiagonal
+    matrix with diagonal d and off-diagonal e, by ``dstebz`` bisection; None
+    when dstebz reports that it could not fill the index range."""
+    # range "I" (3) for index k alone; abstol 0 asks for eps * ||A||
+    found, w, _, _, info = lapack.dstebz(d, e, 3, 0.0, 0.0, k, k, 0.0, b"E")
+    if info in (2, 3):
+        return None
+    if info != 0 or found != 1:
+        raise NumericFailureError("dstebz failed (info=%d)" % info)
+    return float(w[0])
+
+
+def extreme_eigenvalues(A) -> tuple[float, float]:
+    """Smallest and largest eigenvalue of the symmetric matrix A, exactly.
+
+    Only the lower triangle of A is read, as ``np.linalg.eigvalsh`` reads
+    it.  One Householder reduction to tridiagonal form (LAPACK ``dsytrd``)
+    is followed by one bisection for each end of the spectrum (``dstebz``,
+    by index), so the other eigenvalues are never computed.  Each end is
+    accurate to a few units of eps * ||A||, as eigvalsh's values are.
+
+    Bisection by index can miss its index when a large cluster of equal
+    eigenvalues splits the tridiagonal matrix into many blocks (a Gram
+    matrix of a fully sampled tangent space, for one); dstebz reports it,
+    and all eigenvalues of the tridiagonal matrix (``dsterf``, eigvalsh's
+    own second step) give the ends instead, as LAPACK prescribes.
+    """
+    A = _check_finite(A)
+    n = A.shape[0]
+    if n == 0 or A.shape != (n, n):
+        raise InvalidParameterError("expected a nonempty square matrix, got shape %r"
+                                    % (A.shape,))
+    lapack = _flapack()
+    _, d, e, _, info = lapack.dsytrd(A, lower=1, lwork=_sytrd_lwork(n))
+    if info != 0:
+        raise NumericFailureError("dsytrd failed (info=%d)" % info)
+    if n > 1:  # scipy's dstebz wrapper refuses an empty off-diagonal
+        lo, hi = _bisect(lapack, d, e, 1), _bisect(lapack, d, e, n)
+        if lo is not None and hi is not None:
+            return lo, hi
+        d, info = lapack.dsterf(d, e)  # ascending
+        if info != 0:
+            raise NumericFailureError("dsterf failed (info=%d)" % info)
+    return float(d[0]), float(d[-1])
 
 
 def haar_orthogonal(n: int, rng: Rng) -> np.ndarray:

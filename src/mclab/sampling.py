@@ -31,8 +31,9 @@ class SampleSet:
     mask with one ``np.nonzero`` on first access and cached: int64, sorted
     row-major, no duplicates.  ``size`` counts the mask and does not need
     them.  ``p`` is the Bernoulli rate for the bernoulli model and
-    m / (n1*n2) for the uniform model; ``m_nominal`` is the target count
-    (the realized count is ``size``).
+    m / (n1*n2) for the uniform model, so the index constructor refuses a
+    ``p`` outside [0, 1]; ``m_nominal`` is the target count (the realized
+    count is ``size``).
     """
 
     __slots__ = ("n1", "n2", "model", "p", "m_nominal", "mask", "_index")
@@ -46,6 +47,8 @@ class SampleSet:
             raise InvalidParameterError("index outside the int64 range") from None
         if n1 < 0 or n2 < 0:
             raise InvalidParameterError("grid dimensions must be >= 0")
+        if not 0.0 <= p <= 1.0:  # NaN fails it too; p = 0 records an empty draw
+            raise InvalidParameterError("p must lie in [0, 1], got %r" % (p,))
         if rows.shape != cols.shape or rows.ndim != 1:
             raise InvalidParameterError("rows/cols must be parallel 1-d arrays")
         if rows.size:
@@ -149,8 +152,8 @@ def project_omega(X, sset: SampleSet) -> np.ndarray:
 def q_omega(X, sset: SampleSet) -> np.ndarray:
     """Apply (1/p) * P_Omega - I.  Zero mean over the sampling model."""
     X = _check_shape(X, sset)
-    if not (sset.p > 0.0):
-        raise InvalidParameterError("q_omega needs a recorded p > 0")
+    if not 0.0 < sset.p <= 1.0:  # NaN fails it too
+        raise InvalidParameterError("p must lie in (0, 1], got %r" % (sset.p,))
     return _q_coef(sset.mask, sset.p) * X
 
 

@@ -22,23 +22,22 @@ rebuilds the shrunk iterate from those right singular vectors.  The
 eigendecomposition is a direct LAPACK ``dsyevr`` call, its workspace
 queried once per size; the loop forms the residual in one preallocated
 buffer, so an iteration costs little more than that call.  scipy, which
-supplies that call, is reached by the first threshold step, so runs that
-never solve do not load it; and that step loads only scipy's LAPACK
-extension module, not the much larger ``scipy.linalg`` package.
+supplies that call, is reached by the first threshold step through
+``linalg._flapack``, the loader the certificate engine shares, so runs
+that neither solve nor build certificates do not load it; and it loads
+only scipy's LAPACK extension module, not the much larger
+``scipy.linalg`` package.
 """
 
 from __future__ import annotations
 
 import functools
-import importlib.machinery
-import importlib.util
-import os
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidParameterError, NumericFailureError
+from .linalg import _flapack
 from .sampling import SampleSet, project_omega
 
 
@@ -74,34 +73,6 @@ class SolveResult:
     nuclear_value: float
     converged: bool
     halvings: int
-
-
-def _flapack():
-    """scipy's LAPACK extension module ``scipy.linalg._flapack``.
-
-    The module already loaded is reused.  Otherwise only the top-level
-    scipy package is imported (its init readies the bundled OpenBLAS) and
-    the extension is found in scipy's linalg directory and loaded under
-    its own name, so a later ``import scipy.linalg`` adopts this very
-    module.  Importing scipy.linalg itself would also load scipy's
-    array-API layer with numpy.f2py, numpy.testing and numpy.ma, which the
-    solver never uses: about half of a solving process's start-up.
-    """
-    name = "scipy.linalg._flapack"
-    module = sys.modules.get(name)
-    if module is not None:
-        return module
-    import scipy
-
-    path = os.path.join(scipy.__path__[0], "linalg", "_flapack")
-    spec = importlib.machinery.PathFinder.find_spec(name, [os.path.dirname(path)])
-    if spec is None:
-        raise ImportError("scipy's LAPACK extension is missing: %s" % path,
-                          name=name, path=path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    sys.modules[name] = module
-    return module
 
 
 @functools.cache

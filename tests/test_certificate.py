@@ -369,6 +369,16 @@ def test_deviation_at_least_one_when_omega_cannot_span():
     assert deviation_stat(T, small) >= 1.0 - 1e-9
 
 
+def test_deviation_is_zero_under_full_sampling():
+    # G = I up to rounding: dim T nearly equal eigenvalues, a cluster on
+    # which bisection by index can miss its index
+    for n, r, seed in ((12, 1, 0), (20, 1, 1), (13, 2, 5)):
+        T = gen_random_orthogonal(n, r, Rng(seed)).tangent_space()
+        S = sample_uniform(n, n * n, Rng(seed, 1))
+        assert deviation_stat(T, S) <= 1e-13
+        assert verify_certificate(T, S, build_certificate_neumann(T, S))
+
+
 # ------------------------------------------------------------- builders
 
 def test_full_sampling_reproduces_sign_pattern_both_routes():
@@ -521,14 +531,13 @@ def test_bad_arguments_are_invalid_parameter(call):
 ], ids=["deviation", "neumann", "cg", "try_build", "term_norms"])
 @pytest.mark.parametrize("p", [0.0, math.nan, 2.0, -0.5])
 def test_recorded_p_outside_unit_interval_is_invalid(call, p):
-    # a SampleSet (or a from_text file) can carry any p; the engine divides
-    # by it, so a p outside (0, 1] is refused, never turned into a = nan or
-    # a report
+    # the index constructor refuses a p outside [0, 1], but a mask wrapped
+    # as is (or p = 0) still reaches the engine; it divides by p, so a p
+    # outside (0, 1] is refused, never turned into a = nan or a report
     T = gen_random_orthogonal(12, 1, Rng(3)).tangent_space()
     S = sample_uniform(12, 80, Rng(4))
     call(T, S)  # the recorded p is accepted
-    bad = SampleSet(n1=12, n2=12, rows=S.rows, cols=S.cols, model=S.model,
-                    p=p, m_nominal=S.m_nominal)
+    bad = SampleSet._of_mask(S.mask, S.model, p, S.m_nominal)
     with pytest.raises(InvalidParameterError, match=r"p must lie in \(0, 1\]"):
         call(T, bad)
 

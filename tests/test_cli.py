@@ -429,6 +429,22 @@ def test_solve_bad_sample_file_exit_1(tmp_path, capsys, header, entry):
     assert not (tmp_path / "xhat.txt").exists()
 
 
+def test_solve_sample_file_with_p_above_one_is_refused_on_reading(tmp_path, capsys,
+                                                                  monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("complete ran before the refusal")
+
+    monkeypatch.setattr(mclab.cli, "complete", no_solve)
+    samples = tmp_path / "omega.txt"
+    samples.write_text("# 4 4 bernoulli 2.0 3\n0 0\n1 2\n3 3\n")
+    observed = tmp_path / "observed.txt"
+    observed.write_text("\n".join(" ".join(["1.0"] * 4) for _ in range(4)) + "\n")
+    assert main(["solve", "--samples", str(samples), "--observed", str(observed),
+                 "--out", str(tmp_path / "xhat.txt")]) == 1
+    assert "error: p must lie in [0, 1], got 2.0" in capsys.readouterr().err
+    assert not (tmp_path / "xhat.txt").exists()
+
+
 def test_unknown_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

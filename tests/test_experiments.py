@@ -490,19 +490,22 @@ def test_run_dispatches_on_kind():
 _IMPORT_PROBE = """
 import sys
 from mclab.experiments import ExperimentConfig, gen_ground_truth, run
-from mclab.linalg import Rng
-for kw in (dict(kind="cert", n_grid=(8,), r_grid=(1,), m_grid=(48,), trials=1),
-           dict(kind="lower", model="block", n_grid=(8,), r_grid=(1,),
+from mclab.linalg import Rng, _flapack
+for kw in (dict(kind="lower", model="block", n_grid=(8,), r_grid=(1,),
                 mu0_grid=(2.0,), p_grid=(0.5,), trials=2),
            dict(kind="moments", n_grid=(8,), r_grid=(1,), p_grid=(0.5,), trials=2)):
     run(ExperimentConfig(**kw))
 gen_ground_truth("uniform_bounded", 8, 1, Rng(0), 2.0, 6.0)
-assert "scipy.linalg" not in sys.modules, "loaded before any solve"
+assert not [m for m in sys.modules if m.split(".")[0] == "scipy"], "loaded before any cert run"
+run(ExperimentConfig(kind="cert", n_grid=(8,), r_grid=(1,), m_grid=(48,), trials=1))
+assert "scipy.linalg._flapack" in sys.modules, "the cert run did not load LAPACK"
+assert "scipy.linalg" not in sys.modules, "the cert run loaded it"
 from mclab.sampling import sample_bernoulli
 from mclab.solver import complete
 complete(sample_bernoulli(6, 0.8, Rng(1)), [[1.0] * 6] * 6)
-assert "scipy.linalg._flapack" in sys.modules, "the solve did not load LAPACK"
 assert "scipy.linalg" not in sys.modules, "the solve loaded it"
+import scipy.linalg
+assert scipy.linalg.get_lapack_funcs(("sytrd",))[0] is _flapack().dsytrd
 """
 
 
@@ -519,9 +522,10 @@ def test_import_loads_neither_numpy_random_nor_scipy():
 
 
 def test_no_run_loads_scipy_linalg():
-    # scipy.linalg is the larger part of start-up; cert, lower, moments and
-    # the model generators never call LAPACK, and the solver loads only
-    # its extension module
+    # scipy.linalg is the larger part of start-up; lower, moments and the
+    # model generators load no scipy at all, and the certificate engine and
+    # the solver load only its LAPACK extension module, which a later
+    # import of scipy.linalg adopts
     src = str(Path(experiments.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], env=env,

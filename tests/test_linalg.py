@@ -1,13 +1,23 @@
-"""Matrix-core: exact spectral norm, Haar draws, and the
-seeded stream layout everything else builds on."""
+"""Matrix-core: exact spectral norm, the two ends of a symmetric
+spectrum, Haar draws, and the seeded stream layout everything else
+builds on."""
 
 import math
 
 import numpy as np
 import pytest
 
+from mclab import linalg
 from mclab.errors import InvalidParameterError
-from mclab.linalg import Rng, _preset_words, haar_orthogonal, spectral_norm
+from mclab.linalg import (
+    Rng,
+    _preset_words,
+    extreme_eigenvalues,
+    haar_orthogonal,
+    spectral_norm,
+)
+from mclab.models import gen_random_orthogonal
+from mclab.sampling import sample_bernoulli, sample_uniform
 
 
 def _rand(n, m, seed):
@@ -132,6 +142,87 @@ def test_spectral_norm_degenerate_gap():
     # an orthogonal matrix has all singular values equal to 1
     Q = haar_orthogonal(10, Rng(6, 0))
     assert abs(spectral_norm(Q) - 1.0) <= 1e-6
+
+
+# ------------------------------------------------- extreme_eigenvalues
+# eigvalsh is the oracle: each end within a few dim * eps * max|lam|
+
+def _assert_ends_match_eigvalsh(A):
+    lo, hi = extreme_eigenvalues(A)
+    lam = np.linalg.eigvalsh(A)
+    tol = 4 * A.shape[0] * np.finfo(float).eps * np.abs(lam).max()
+    assert abs(lo - lam[0]) <= tol, (lo, lam[0])
+    assert abs(hi - lam[-1]) <= tol, (hi, lam[-1])
+    return lo, hi
+
+
+def _tangent_gram(n, r, sampler, m):
+    T = gen_random_orthogonal(n, r, Rng(n, r)).tangent_space()
+    if sampler == "bernoulli":
+        S = sample_bernoulli(n, m / (n * n), Rng(n, 100 + r))
+    else:
+        S = sample_uniform(n, m, Rng(n, 100 + r))
+    return T.gram(S.mask)
+
+
+@pytest.mark.parametrize("sampler", ["bernoulli", "uniform"])
+@pytest.mark.parametrize("n, r", [(1, 1), (2, 1), (2, 2), (13, 1), (13, 2), (13, 13),
+                                  (48, 1), (48, 2), (48, 48)])
+def test_extreme_eigenvalues_of_tangent_gram_match_eigvalsh(n, r, sampler):
+    G = _tangent_gram(n, r, sampler, (n * n + 1) // 2)
+    assert G.shape == (2 * n * r - r * r,) * 2
+    _assert_ends_match_eigvalsh(G)
+
+
+def test_extreme_eigenvalues_of_empty_full_and_singular_gram():
+    n, r = 13, 2
+    T = gen_random_orthogonal(n, r, Rng(5)).tangent_space()
+    assert extreme_eigenvalues(T.gram(np.zeros((n, n), dtype=bool))) == (0.0, 0.0)
+    lo, hi = _assert_ends_match_eigvalsh(T.gram(np.ones((n, n), dtype=bool)))  # G = I
+    assert abs(lo - 1.0) <= 1e-13 and abs(hi - 1.0) <= 1e-13
+    G = _tangent_gram(n, r, "uniform", T.dim - 8)  # |Omega| < dim T: G is singular
+    lo, hi = _assert_ends_match_eigvalsh(G)
+    assert abs(lo) <= 1e-13 < hi
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 50, 200])
+def test_extreme_eigenvalues_of_indefinite_matrices_match_eigvalsh(n):
+    for seed in range(3):
+        X = _rand(n, n, 100 * n + seed)
+        lo, hi = _assert_ends_match_eigvalsh(X + X.T)
+        assert lo < 0.0 < hi
+
+
+def test_extreme_eigenvalues_of_order_one():
+    assert extreme_eigenvalues([[-2.5]]) == (-2.5, -2.5)
+    assert extreme_eigenvalues(np.zeros((1, 1))) == (0.0, 0.0)
+
+
+def test_extreme_eigenvalues_read_only_the_lower_triangle():
+    n = 30
+    X = _rand(n, n, 31)
+    A = X + X.T
+    A[np.triu_indices(n, 1)] = 10.0 * _rand(n, n, 32)[np.triu_indices(n, 1)]
+    lo, hi = _assert_ends_match_eigvalsh(A)  # eigvalsh reads UPLO='L'
+    upper = np.linalg.eigvalsh(A, UPLO="U")
+    assert abs(lo - upper[0]) > 1.0 and abs(hi - upper[-1]) > 1.0
+
+
+def test_extreme_eigenvalues_without_bisection_use_the_whole_spectrum(monkeypatch):
+    # dstebz reports an index it could not reach on large clusters of equal
+    # eigenvalues; then the ends come from all eigenvalues of the same
+    # tridiagonal matrix
+    monkeypatch.setattr(linalg, "_bisect", lambda lapack, d, e, k: None)
+    for A in (_tangent_gram(13, 2, "uniform", 85), _rand(9, 9, 4) + _rand(9, 9, 4).T,
+              _tangent_gram(20, 1, "bernoulli", 400)):
+        _assert_ends_match_eigvalsh(A)
+
+
+def test_extreme_eigenvalues_refuse_what_is_not_a_square_finite_matrix():
+    for A in (np.ones((3, 4)), np.zeros((0, 0)), np.ones(3), np.array([[1.0, np.nan],
+                                                                        [np.nan, 1.0]])):
+        with pytest.raises(InvalidParameterError):
+            extreme_eigenvalues(A)
 
 
 # ---------------------------------------------------- haar_orthogonal

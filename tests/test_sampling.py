@@ -284,6 +284,29 @@ def test_q_omega_requires_positive_p():
         q_omega(np.zeros((3, 3)), S)
 
 
+def test_q_omega_refuses_a_wrapped_mask_with_p_above_one():
+    # the operator's mean over the model is zero only for the p that drew
+    # Omega; a mask wrapped as is skips the constructor's check
+    S = sample_uniform(12, 80, Rng(4))
+    bad = SampleSet._of_mask(S.mask, S.model, 2.0, S.m_nominal)
+    with pytest.raises(InvalidParameterError, match=r"p must lie in \(0, 1\], got 2\.0"):
+        q_omega(np.ones((12, 12)), bad)
+
+
+@pytest.mark.parametrize("p", [2.0, math.inf, math.nan, -0.5])
+def test_recorded_p_outside_unit_interval_is_refused_on_construction(p):
+    S = sample_uniform(12, 80, Rng(4))
+    with pytest.raises(InvalidParameterError, match=r"p must lie in \[0, 1\]"):
+        SampleSet(n1=12, n2=12, rows=S.rows, cols=S.cols, model=S.model, p=p,
+                  m_nominal=S.m_nominal)
+    text = to_text(S).replace(repr(S.p), repr(p), 1)
+    assert text.startswith("# 12 12 uniform %r 80\n" % p)
+    with pytest.raises(InvalidParameterError, match=r"p must lie in \[0, 1\]"):
+        from_text(text)
+    # p = 0 is what an empty uniform draw records
+    assert from_text(to_text(sample_uniform(12, 0, Rng(4)))).p == 0.0
+
+
 # ---------------------------------------------- model coupling, exact CDF
 
 def test_binomial_median_coupling():
