@@ -219,8 +219,8 @@ def test_extreme_eigenvalues_without_bisection_use_the_whole_spectrum(monkeypatc
 
 
 def test_extreme_eigenvalues_refuse_what_is_not_a_square_finite_matrix():
-    for A in (np.ones((3, 4)), np.zeros((0, 0)), np.ones(3), np.array([[1.0, np.nan],
-                                                                        [np.nan, 1.0]])):
+    nan = np.array([[1.0, np.nan], [np.nan, 1.0]])
+    for A in (np.ones((3, 4)), np.zeros((0, 0)), np.ones(3), nan):
         with pytest.raises(InvalidParameterError):
             extreme_eigenvalues(A)
 
