@@ -59,11 +59,12 @@ from .geometry import TangentSpace, incoherence
 from .linalg import Rng, extreme_eigenvalues, spectral_norm
 from .sampling import (
     SampleSet,
+    _bernoulli_masks,
     _chunks,
     _q_coef,
     project_omega,
     q_omega,
-    sample_bernoulli,
+    sample_bernoulli,  # uncalled; kept for the tracer in perfbench/spans.py
 )
 
 # Summability threshold for transferring tangent-chain norm control to
@@ -640,10 +641,10 @@ def estimate_trace_moment(gen_model, n: int, r: int, p: float, j: int, k: int,
 
     gen_model(n, r, rng) must return a GroundTruth; the instance is drawn
     once and the tangent space held fixed while Omega varies.  Trials run in
-    chunks: a chunk's generators are seeded in one pass, its masks drawn one
-    trial at a time and stacked into one stack of Q_Om coefficients, and the
-    chain and the traces run once on the stack, each product per matrix, so
-    every trial's A and trace are bit-identical to a chain run on its own.
+    chunks: a chunk's generators are seeded in one pass, its masks drawn into
+    one stack and made into one stack of Q_Om coefficients, and the chain
+    and the traces run once on the stack, each product per matrix, so every
+    trial's A and trace are bit-identical to a chain run on its own.
     Each trace is taken through powers of the Gram matrix A^T A, with no
     singular values.  For j=1, k=0 the exact mean is (1-p) r / p, which the
     tests pin down.  A bound past the float range is inf.
@@ -666,7 +667,7 @@ def estimate_trace_moment(gen_model, n: int, r: int, p: float, j: int, k: int,
     vals = np.empty(trials)
     for chunk in _chunks(trials, T.e.nbytes):  # one n x n float array a trial
         subs = Rng.batch(rng.seed, [rng.substream(t + 1).stream for t in chunk])
-        mask = np.stack([sample_bernoulli(n, p, sub).mask for sub in subs])
+        mask = _bernoulli_masks(subs, p, (n, n))
         coef = _q_coef(mask, p)
         A = _chain(coef * T.e, coef, T.apply_qt, k)[-1]
         vals[chunk.start:chunk.stop] = _trace_gram_power(A, j)

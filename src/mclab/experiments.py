@@ -46,7 +46,7 @@ from .models import (
     gen_uniformly_bounded,
     hadamard_family,
 )
-from .sampling import _chunks, sample_bernoulli, sample_uniform
+from .sampling import _bernoulli_masks, _chunks, sample_bernoulli, sample_uniform
 from .solver import SolverParams, complete, recovered
 
 _WILSON_Z = 1.959963984540054  # two-sided 95%
@@ -351,13 +351,17 @@ def _lower_cell(cfg, idx, n, r, mu0, p) -> dict:
     undeterminable.  The closed-form reference treats the n coverage
     events as independent: 1 - (1 - pi1)^n with pi1 = (1-p)^ell.  Trials
     run in chunks: a chunk's generators are seeded in one pass, its masks
-    drawn one trial at a time, stacked, and tested for coverage all at once.
+    drawn into one stack, and tested for coverage all at once.  The blocks
+    occupy the leading r * ell rows, so only those rows of each n x n mask
+    are drawn: the prefix of the trial's stream, the same bits as the full
+    draw's leading rows.
     """
     bspec = block_model_spec(n, r, mu0)
+    shape = (r * bspec.ell, n)  # the leading rows, where the blocks lie
     covered = 0
-    for chunk in _chunks(cfg.trials, n * n):  # one n x n boolean mask a trial
+    for chunk in _chunks(cfg.trials, shape[0] * n):  # one boolean mask a trial
         rngs = Rng.batch(cfg.seed, [_stream(idx, t, _SLOT_OMEGA) for t in chunk])
-        mask = np.stack([sample_bernoulli(n, p, rng).mask for rng in rngs])
+        mask = _bernoulli_masks(rngs, p, shape)
         ok = np.ones(len(chunk), dtype=bool)
         for lo, hi in bspec.blocks:
             sub = mask[:, lo:hi, lo:hi]

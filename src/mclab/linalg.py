@@ -146,8 +146,10 @@ class Rng:
         """Child stream ``k``, 0 <= k < 2**20, of this stream.
 
         A convenience for per-trial loops; ``batch`` seeds many streams'
-        generators at once, e.g. ``Rng.batch(seed, [rng.substream(k).stream
-        for k in ks])``.
+        generators at once, e.g. ``subs = Rng.batch(seed,
+        [rng.substream(k).stream for k in ks])``, and
+        ``sampling._bernoulli_masks(subs, p, (n, n))`` then draws their
+        masks into one stack.
         """
         if not 0 <= k < 1 << 20:
             raise InvalidParameterError("substream index must lie in [0, 2**20)")

@@ -114,8 +114,22 @@ def sample_bernoulli(n1: int, p: float, rng: Rng, n2: int | None = None) -> Samp
         raise InvalidParameterError("grid dimensions must be >= 1")
     if not (0.0 < p <= 1.0):
         raise InvalidParameterError("p must lie in (0, 1], got %r" % (p,))
-    mask = rng.gen.random((n1, n2)) < p
+    mask = _bernoulli_masks([rng], p, (n1, n2))[0]
     return SampleSet._of_mask(mask, "bernoulli", float(p), int(round(p * n1 * n2)))
+
+
+def _bernoulli_masks(rngs, p: float, shape: tuple) -> np.ndarray:
+    """The Bernoulli draw, one boolean mask of ``shape`` per generator in one
+    stack ``(len(rngs),) + shape``, with no checks: mask i is
+    ``rngs[i].gen.random(shape) < p``, bit for bit.  The uniforms fill each
+    mask row-major, so a shape of fewer rows than the grid draws exactly the
+    leading rows of that grid's mask."""
+    masks = np.empty((len(rngs),) + shape, dtype=bool)
+    buf = np.empty(shape)
+    for rng, mask in zip(rngs, masks):
+        rng.gen.random(out=buf)
+        np.less(buf, p, out=mask)
+    return masks
 
 
 def sample_uniform(n1: int, m: int, rng: Rng, n2: int | None = None) -> SampleSet:

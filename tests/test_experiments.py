@@ -365,14 +365,29 @@ def _covered_trial_by_trial(cfg, idx, n, r, mu0, p):
     return covered
 
 
-@pytest.mark.parametrize("r", [1, 3])
-def test_chunked_coverage_equals_the_trial_by_trial_loop(r):
-    n = 48
-    chunk = len(_chunks(1 << 19, n * n)[0])
+@pytest.mark.parametrize("n,r", [(48, 1), (48, 3), (13, 3)])
+def test_chunked_coverage_equals_the_trial_by_trial_loop(n, r, monkeypatch):
     mu0s, ps = (1.0, 2.5, 4.0), (0.05, 0.15, 0.4)
+    # lower draws only the r * ell leading rows, where the blocks lie: all n
+    # rows at mu0 = 1 for n = 48, and 12 of 13 at n = 13, r = 3
+    shapes = [(r * block_model_spec(n, r, mu0).ell, n) for mu0 in mu0s]
+    assert shapes[0][0] == (n if n == 48 else n - 1)
+    chunks = [len(_chunks(1 << 19, h * w)[0]) for h, w in shapes]
+    # every config spans three full chunks and a partial one
+    trials = 3 * max(chunks) + 1
+    assert all(trials % c for c in chunks)
+    drawn, masks = [], experiments._bernoulli_masks
+
+    def spied(rngs, p, shape):
+        drawn.append((len(rngs), shape))
+        return masks(rngs, p, shape)
+
+    monkeypatch.setattr(experiments, "_bernoulli_masks", spied)
     cfg = ExperimentConfig(kind="lower", model="block", n_grid=(n,), r_grid=(r,),
-                           mu0_grid=mu0s, p_grid=ps, trials=2 * chunk + 3, seed=29)
+                           mu0_grid=mu0s, p_grid=ps, trials=trials, seed=29)
     rows = run(cfg)
+    assert drawn == [(len(c), shape) for shape in shapes for _ in ps
+                     for c in _chunks(trials, shape[0] * n)]
     for idx, (mu0, p) in enumerate(itertools.product(mu0s, ps)):
         assert rows[idx].successes == _covered_trial_by_trial(cfg, idx, n, r, mu0, p)
     # the counts spread out, so the oracle is not met trivially

@@ -11,6 +11,7 @@ from mclab.errors import InvalidParameterError
 from mclab.linalg import Rng
 from mclab.sampling import (
     SampleSet,
+    _bernoulli_masks,
     _q_coef,
     from_text,
     project_omega,
@@ -144,6 +145,35 @@ def test_bernoulli_count_concentrates():
     mean = float(np.mean(sizes))
     sd = math.sqrt(n * n * p * (1 - p))
     assert abs(mean - n * n * p) <= 3 * sd / math.sqrt(draws)
+
+
+# streams at the edges of the one- and two-word keys, and one past 2**64,
+# which Rng.gen and Rng.batch both mask to 64 bits
+_EDGE_STREAMS = [0, 2**32 - 1, 2**32, 2**64 - 1, 2**64 + 5]
+
+
+@pytest.mark.parametrize("p", [1e-9, 0.2, 0.5, 1.0])
+@pytest.mark.parametrize("n1,n2,rows", [(9, 9, 9), (9, 9, 4), (7, 12, 7),
+                                        (12, 7, 5), (6, 11, 1)])
+def test_bernoulli_masks_are_the_leading_rows_of_each_draw(n1, n2, rows, p):
+    for rngs in (Rng.batch(31, _EDGE_STREAMS), [Rng(31, s) for s in _EDGE_STREAMS]):
+        masks = _bernoulli_masks(rngs, p, (rows, n2))
+        assert masks.shape == (len(_EDGE_STREAMS), rows, n2)
+        assert masks.dtype == bool
+        for s, mask in zip(_EDGE_STREAMS, masks):
+            full = sample_bernoulli(n1, p, Rng(31, s), n2).mask
+            np.testing.assert_array_equal(mask, full[:rows])
+            # the draw as written before the kernel: uniforms below p
+            np.testing.assert_array_equal(full, Rng(31, s).gen.random((n1, n2)) < p)
+        # the stream past 2**64 draws what its low 64 bits draw
+        np.testing.assert_array_equal(
+            masks[-1], _bernoulli_masks([Rng(31, 5)], p, (rows, n2))[0])
+
+
+def test_bernoulli_masks_of_no_generators_are_an_empty_stack():
+    masks = _bernoulli_masks([], 0.5, (3, 4))
+    assert masks.shape == (0, 3, 4)
+    assert masks.dtype == bool
 
 
 def test_bernoulli_p_equal_one_gives_full_grid():
