@@ -365,13 +365,14 @@ def _covered_trial_by_trial(cfg, idx, n, r, mu0, p):
     return covered
 
 
-@pytest.mark.parametrize("n,r", [(48, 1), (48, 3), (13, 3)])
-def test_chunked_coverage_equals_the_trial_by_trial_loop(n, r, monkeypatch):
+@pytest.mark.parametrize("n,r,rows_at_mu0_1", [(48, 1, 48), (48, 3, 48), (13, 3, 12)])
+def test_chunked_coverage_equals_the_trial_by_trial_loop(n, r, rows_at_mu0_1,
+                                                         monkeypatch):
     mu0s, ps = (1.0, 2.5, 4.0), (0.05, 0.15, 0.4)
-    # lower draws only the r * ell leading rows, where the blocks lie: all n
-    # rows at mu0 = 1 for n = 48, and 12 of 13 at n = 13, r = 3
+    # lower draws only the r * ell leading rows, where the blocks lie; at
+    # mu0 = 1 they fill n = 48 and stop one short of n = 13
     shapes = [(r * block_model_spec(n, r, mu0).ell, n) for mu0 in mu0s]
-    assert shapes[0][0] == (n if n == 48 else n - 1)
+    assert shapes[0][0] == rows_at_mu0_1
     chunks = [len(_chunks(1 << 19, h * w)[0]) for h, w in shapes]
     # every config spans three full chunks and a partial one
     trials = 3 * max(chunks) + 1
