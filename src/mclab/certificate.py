@@ -37,8 +37,9 @@ decide() answers the question the certificate stands for -- is the
 planted matrix the unique nuclear-norm minimizer? -- from one
 eigendecomposition of the same matrix, with no a < 1 gate: it certifies
 with the minimum-norm certificate and refutes with a null direction of
-the sampling operator or a dual witness, and says "undecided" when none
-of these settles it.
+the sampling operator or a dual witness.  Where the witness falls short
+it searches, by a bounded ADMM run, for a feasible point of smaller
+nuclear norm, and says "undecided" when none of these settles it.
 """
 
 from __future__ import annotations
@@ -66,6 +67,7 @@ from .sampling import (
     q_omega,
     sample_bernoulli,  # uncalled; kept for the tracer in perfbench/spans.py
 )
+from .solver import _threshold
 
 # Summability threshold for transferring tangent-chain norm control to
 # projection chains: if ||(Q_Om Q_T)^k Q_Om(E)|| <= sigma^((k+1)/2) with
@@ -310,6 +312,11 @@ _NULL_TOL = 1e-8
 # most 1e4 in size (see _NULL_TOL), so its rounding error is about
 # dim * eps * 1e4, below 1e-8 at the same dims.
 _REFUTE_MARGIN = 1e-6
+# The primal exit's ADMM runs at most _PRIMAL_BUDGET iterations and measures
+# its feasible point every _PRIMAL_CHECK of them.  An iteration count, not a
+# time, so that every verdict is reproducible.
+_PRIMAL_BUDGET = 500
+_PRIMAL_CHECK = 10
 
 
 @dataclass
@@ -318,12 +325,15 @@ class Decision:
 
     verdict is "certified" (it is), "refuted" (it is not even a
     minimizer) or "undecided"; reason names the step that settled it:
-    "null", "min_norm" or "witness".  upper and lower bracket the least
-    ||P_Tperp Y|| over all certificates Y (Omega-supported, P_T Y = E):
-    upper is the minimum-norm certificate's (inf when P_Omega is not
-    injective on T), lower is proved by the null direction or the dual
-    witness (0 when no step needed one).  lam_min is the smallest
-    eigenvalue of the tangent Gram matrix.
+    "null", "min_norm", "witness" or "primal".  upper and lower bracket the
+    least ||P_Tperp Y|| over all certificates Y (Omega-supported,
+    P_T Y = E): upper is the minimum-norm certificate's (inf when P_Omega
+    is not injective on T), lower is proved by the null direction or the
+    dual witness (0 when no step needed one).  The primal exit proves that
+    no certificate of norm <= 1 exists without bounding that least norm,
+    so a "primal" refutation carries the witness's lower, at most 1 +
+    _REFUTE_MARGIN.  lam_min is the smallest eigenvalue of the tangent Gram
+    matrix.
     """
 
     verdict: str
@@ -333,10 +343,43 @@ class Decision:
     lam_min: float
 
 
+def _primal_point(T: TangentSpace, S: SampleSet) -> np.ndarray | None:
+    """A matrix X equal to E on Omega, bit for bit, with
+    ||X||_* < (1 - _REFUTE_MARGIN) r = (1 - _REFUTE_MARGIN) ||E||_*, or None
+    when _PRIMAL_BUDGET iterations find none.
+
+    ADMM for min ||A||_* subject to A = E on Omega with a fixed penalty
+    mu = 1 / ||P_Omega E|| (Boyd et al., Found. Trends ML 3, 2011; Lin,
+    Chen & Ma, arXiv 1009.5055, without their growing penalty, whose
+    iterates turn feasible before they turn optimal): with D = P_Omega(E)
+    and Z the Omega-supported multiplier over mu, each iteration is
+
+        A = shrink(D + Z + P_Omegaperp(A), 1 / mu),  Z += P_Omega(D - A),
+
+    the shrink being the solver's one thresholding kernel.  Every
+    _PRIMAL_CHECK iterations X = P_Omega(E) + P_Omegaperp(A), which is
+    exactly feasible, is measured by its singular values.
+    """
+    D = np.where(S.mask, T.e, 0.0)
+    tau = spectral_norm(D)
+    A = np.zeros_like(D)
+    Z = np.zeros_like(D)
+    bound = (1.0 - _REFUTE_MARGIN) * T.r
+    for it in range(1, _PRIMAL_BUDGET + 1):
+        A = _threshold(np.where(S.mask, D + Z, A), tau, None)[0]
+        Z += np.where(S.mask, D - A, 0.0)
+        if it % _PRIMAL_CHECK == 0:
+            X = np.where(S.mask, T.e, A)
+            if float(np.sum(np.linalg.svd(X, compute_uv=False))) < bound:
+                return X
+    return None
+
+
 def decide(T: TangentSpace, S: SampleSet) -> Decision:
     """Decide whether M is the unique minimizer of the nuclear norm over
-    the matrices that agree with it on Omega, by three cheap exits that
-    share one eigendecomposition of the tangent Gram matrix G.
+    the matrices that agree with it on Omega, by four exits.  The first
+    three are cheap and share one eigendecomposition of the tangent Gram
+    matrix G; the fourth, an iterative search, does not use it.
 
     In the tangent coordinates of ``TangentSpace.coords`` let phi be the
     |Omega| x dim T matrix whose rows are coords(e_i e_j^T) over Omega, so
@@ -366,7 +409,13 @@ def decide(T: TangentSpace, S: SampleSet) -> Decision:
        by their projection phi w onto range(phi), so that <Z, D> = 0 for
        every Omega-supported D with P_T D = 0.  Every certificate then has
        <Z, Y - E> = w . e_T - <Z, E>, and lower is that over ||Z||_*.
-       Refuted when lower clears 1, undecided otherwise.
+       Refuted when lower clears 1.
+    4. Primal point: on a side the witness leaves undecided,
+       ``_primal_point`` searches for X equal to E on Omega with
+       ||X||_* < ||E||_* by the margin.  Whether M is a minimizer depends
+       only on U, V and Omega (the subdifferential of ||M||_* at M does not
+       depend on its singular values), so such an X refutes M as it
+       refutes E.  Refuted when it finds one, undecided otherwise.
 
     Unlike the certificate builders this accepts an empty Omega (refuted:
     the zero matrix is feasible).
@@ -408,8 +457,11 @@ def decide(T: TangentSpace, S: SampleSet) -> Decision:
     w = solve(T.coords(np.where(S.mask, Z, 0.0)))
     Z = np.where(S.mask, T.embed(w), Z)
     lower = (float(w @ e_t) - float(np.sum(Z * T.e))) / float(np.linalg.norm(Z, "nuc"))
-    verdict = "refuted" if lower > 1.0 + _REFUTE_MARGIN else "undecided"
-    return Decision(verdict, "witness", upper, lower, lam_min)
+    if lower > 1.0 + _REFUTE_MARGIN:
+        return Decision("refuted", "witness", upper, lower, lam_min)
+    if _primal_point(T, S) is not None:
+        return Decision("refuted", "primal", upper, lower, lam_min)
+    return Decision("undecided", "witness", upper, lower, lam_min)
 
 
 @dataclass

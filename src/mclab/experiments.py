@@ -380,10 +380,12 @@ def _lower_cell(cfg, idx, n, r, mu0, p) -> dict:
 def _recovers(gt, T, S, params) -> bool:
     """Whether SVT recovers gt.M from S; no solve when decide refutes M.
 
-    A refuted M is not a nuclear-norm minimizer, and SVT's regularized
-    optimum is not M either: for r = 1, M = sigma E at that optimum would
-    make its scaled multiplier a certificate of norm tau / (tau + sigma)
-    < 1.  The tests replay the skip against full solves for r = 1 and 2.
+    A refuted M is not a nuclear-norm minimizer, so no certificate of norm
+    <= 1 exists, whichever exit proved it.  SVT's regularized optimum is
+    not M either: for r = 1, M = sigma E at that optimum would make its
+    scaled multiplier a certificate of norm tau / (tau + sigma) < 1.  The
+    argument holds for any refutation, the primal exit's included.  The
+    tests replay the skip against full solves for r = 1 and 2.
     """
     if decide(T, S).verdict == "refuted":
         return False

@@ -5,7 +5,11 @@ verification, the exact decision, operator-word coefficients, chain
 norms, and trace moments."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -289,25 +293,95 @@ def _check_07_sides(trials):
 
 
 def _replay_decide(trials):
+    # the oracle has the three cheap exits; where its witness leaves a side
+    # undecided, decide may refute it by the primal exit, with the same bounds
     reasons = set()
     for T, S in _check_07_sides(trials):
         d = decide(T, S)
         verdict, reason, upper, lower, lam_min = _dense_decide(T, S)
-        assert (d.verdict, d.reason) == (verdict, reason)
+        if (verdict, reason) == ("undecided", "witness"):
+            assert (d.verdict, d.reason) in {("undecided", "witness"),
+                                             ("refuted", "primal")}
+        else:
+            assert (d.verdict, d.reason) == (verdict, reason)
         assert abs(d.lam_min - lam_min) <= 1e-12
         assert d.upper == pytest.approx(upper, rel=1e-8, abs=0.0)
         assert d.lower == pytest.approx(lower, rel=1e-8, abs=0.0)
-        reasons.add(reason)
+        reasons.add(d.reason)
     return reasons
 
 
 def test_decide_matches_dense_oracle_on_check_07_trials():
-    assert _replay_decide(range(20)) >= {"min_norm", "witness"}
+    assert _replay_decide(range(20)) >= {"min_norm", "witness", "primal"}
 
 
 @pytest.mark.slow
 def test_decide_matches_dense_oracle_on_all_check_07_trials():
-    assert _replay_decide(range(400)) == {"null", "min_norm", "witness"}
+    assert _replay_decide(range(400)) == {"null", "min_norm", "witness", "primal"}
+
+
+def _check_04_sides(trials):
+    # acceptance check 04's cell, as phase and cert draw it
+    cfg = ExperimentConfig(kind="phase", n_grid=(48,), r_grid=(2,), m_grid=(1614,),
+                           model="random_orth", trials=50, seed=7)
+    for t in trials:
+        gt, S = _draw(cfg, 0, t, 48, 2, 1614, cfg.sampling)
+        yield gt.tangent_space(), S
+
+
+def test_primal_point_is_feasible_and_cheaper_than_e():
+    fired = 0
+    for T, S in _check_07_sides(range(20)):
+        if decide(T, S).reason != "primal":
+            continue
+        X = certificate._primal_point(T, S)
+        # equal to E on Omega bit for bit, so exactly feasible
+        assert np.array_equal(X[S.mask], T.e[S.mask])
+        nuc = float(np.sum(np.linalg.svd(X, compute_uv=False)))
+        assert nuc < (1.0 - _REFUTE_MARGIN) * T.r
+        fired += 1
+    assert fired >= 1
+
+
+def test_primal_point_never_found_where_decide_certifies():
+    # run directly, past the exits that certify first
+    certified = 0
+    for T, S in list(_check_07_sides(range(20))) + list(_check_04_sides(range(20))):
+        if decide(T, S).verdict == "certified":
+            certified += 1
+            assert certificate._primal_point(T, S) is None
+    assert certified >= 30
+
+
+_VERDICTS_PROBE = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from test_certificate import _check_07_sides
+from mclab.certificate import decide
+for T, S in _check_07_sides(range(400)):
+    d = decide(T, S)
+    print(d.verdict, d.reason)
+"""
+
+
+def test_check_07_verdicts_do_not_depend_on_blas_threads():
+    # OpenBLAS reads its thread count once, at load, so each count needs its
+    # own process
+    tests = str(Path(__file__).resolve().parent)
+    src = str(Path(certificate.__file__).resolve().parents[1])
+    out = []
+    for threads in ("1", None):
+        env = dict(os.environ, PYTHONPATH=src)
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        proc = subprocess.run([sys.executable, "-c", _VERDICTS_PROBE, tests], env=env,
+                              capture_output=True, text=True, timeout=1200)
+        assert proc.returncode == 0, proc.stderr
+        out.append(proc.stdout.splitlines())
+    assert len(out[0]) == 800
+    assert out[0] == out[1]
+    assert sum(line == "refuted primal" for line in out[0]) >= 100
 
 
 # -------------------------------------------------------- deviation stat
@@ -678,7 +752,7 @@ def test_decide_is_invariant_under_the_problem_symmetries():
             assert d2.upper == pytest.approx(d.upper, rel=rel, abs=0.0)
             assert d2.lower == pytest.approx(d.lower, rel=rel, abs=0.0)
     assert {v for v, _ in reasons} == {"certified", "undecided", "refuted"}
-    assert ("refuted", "null") in reasons
+    assert {("refuted", "null"), ("refuted", "primal")} <= reasons
 
 
 def test_decide_null_exit_is_inf_when_phi_h_is_rounding_noise():

@@ -464,6 +464,30 @@ def test_equiv_skips_svt_only_where_it_fails(monkeypatch):
     assert refuted >= 30
 
 
+def test_equiv_skips_svt_where_the_primal_exit_refutes(monkeypatch):
+    # acceptance check 07's trials 0-9, both ways: SVT fails on every side
+    # that decide's primal exit refutes, so skipping its solve moves no count
+    cfg = ExperimentConfig(kind="equiv", n_grid=(32,), r_grid=(1,),
+                           m_grid=(194,), model="random_orth", trials=10,
+                           seed=41, equiv_p="2m")
+    reasons = []
+    decide = experiments.decide
+
+    def record_reason(T, S):
+        d = decide(T, S)
+        reasons.append(d.reason)
+        return d
+
+    monkeypatch.setattr(experiments, "decide", record_reason)
+    fast, full, sides = _equiv_both_ways(monkeypatch, cfg)
+    assert fast == full
+    # the last 2 * trials decisions are the second run's, one per side
+    primal = [out for reason, (_, out) in zip(reasons[-len(sides):], sides)
+              if reason == "primal"]
+    assert len(primal) >= 1
+    assert not any(primal)
+
+
 @pytest.mark.slow
 def test_equiv_skips_svt_only_where_it_fails_on_check_07(monkeypatch):
     # all 400 trials of acceptance check 07's cell, both ways
