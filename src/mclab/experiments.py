@@ -381,11 +381,12 @@ def _recovers(gt, T, S, params) -> bool:
     """Whether SVT recovers gt.M from S; no solve when decide refutes M.
 
     A refuted M is not a nuclear-norm minimizer, so no certificate of norm
-    <= 1 exists, whichever exit proved it.  SVT's regularized optimum is
-    not M either: for r = 1, M = sigma E at that optimum would make its
-    scaled multiplier a certificate of norm tau / (tau + sigma) < 1.  The
-    argument holds for any refutation, the primal exit's included.  The
-    tests replay the skip against full solves for r = 1 and 2.
+    <= 1 exists.  SVT's regularized optimum is not M either: for r = 1,
+    M = sigma E at that optimum would make its scaled multiplier a
+    certificate of norm tau / (tau + sigma) < 1.  The argument needs only
+    the refutation, so it holds for every exit of decide, the primal
+    exit's included.  The tests replay the skip against full solves for
+    r = 1 and 2.
     """
     if decide(T, S).verdict == "refuted":
         return False
