@@ -57,7 +57,7 @@ from .errors import (
     InvalidParameterError,
 )
 from .geometry import TangentSpace, incoherence
-from .linalg import Rng, extreme_eigenvalues, spectral_norm
+from .linalg import Rng, _threshold, extreme_eigenvalues, spectral_norm
 from .sampling import (
     SampleSet,
     _bernoulli_masks,
@@ -67,7 +67,6 @@ from .sampling import (
     q_omega,
     sample_bernoulli,  # uncalled; kept for the tracer in perfbench/spans.py
 )
-from .solver import _threshold
 
 # Summability threshold for transferring tangent-chain norm control to
 # projection chains: if ||(Q_Om Q_T)^k Q_Om(E)|| <= sigma^((k+1)/2) with
@@ -356,7 +355,7 @@ def _primal_point(T: TangentSpace, S: SampleSet) -> np.ndarray | None:
 
         A = shrink(D + Z + P_Omegaperp(A), 1 / mu),  Z += P_Omega(D - A),
 
-    the shrink being the solver's one thresholding kernel.  Every
+    the shrink being the package's one thresholding kernel.  Every
     _PRIMAL_CHECK iterations X = P_Omega(E) + P_Omegaperp(A), which is
     exactly feasible, is measured by its singular values.
     """
@@ -370,7 +369,7 @@ def _primal_point(T: TangentSpace, S: SampleSet) -> np.ndarray | None:
         Z += np.where(S.mask, D - A, 0.0)
         if it % _PRIMAL_CHECK == 0:
             X = np.where(S.mask, T.e, A)
-            if float(np.sum(np.linalg.svd(X, compute_uv=False))) < bound:
+            if float(np.linalg.norm(X, "nuc")) < bound:
                 return X
     return None
 

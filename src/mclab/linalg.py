@@ -5,8 +5,10 @@ experiment rows and serialized artifacts are bit-reproducible.
 
 The LAPACK routines that numpy does not expose come from scipy's LAPACK
 extension module, which ``_flapack`` loads on first use without importing
-``scipy.linalg``; the solver's threshold step and ``extreme_eigenvalues``
-share it.
+``scipy.linalg``.  ``_threshold``, the one singular-value shrinkage kernel
+(the solver's SVT step and the certificate engine's ADMM), and
+``extreme_eigenvalues`` share it, and ``_workspace`` queries each
+routine's workspace once per order.
 """
 
 from __future__ import annotations
@@ -202,17 +204,18 @@ def _flapack():
 
 
 @cache
-def _sytrd_lwork(n: int) -> int:
-    """The optimal ``dsytrd`` workspace at order n, lower triangle.
+def _workspace(routine: str, n: int) -> tuple[int, ...]:
+    """The optimal workspace sizes of the LAPACK ``routine`` at order n,
+    lower triangle, as its ``_lwork`` query returns them.
 
     The workspace size picks the blocked or unblocked Householder
     reduction, so it is queried once per order and every call at that
-    order reduces the same way.
+    order reduces the same way; other sizes would change the bits.
     """
-    work, info = _flapack().dsytrd_lwork(n, lower=1)
+    *sizes, info = getattr(_flapack(), routine + "_lwork")(n, lower=1)
     if info != 0:
-        raise NumericFailureError("dsytrd workspace query failed (info=%d)" % info)
-    return int(work)
+        raise NumericFailureError("%s workspace query failed (info=%d)" % (routine, info))
+    return tuple(int(size) for size in sizes)
 
 
 def _bisect(lapack, d, e, k: int) -> float | None:
@@ -249,7 +252,8 @@ def extreme_eigenvalues(A) -> tuple[float, float]:
         raise InvalidParameterError("expected a nonempty square matrix, got shape %r"
                                     % (A.shape,))
     lapack = _flapack()
-    _, d, e, _, info = lapack.dsytrd(A, lower=1, lwork=_sytrd_lwork(n))
+    (lwork,) = _workspace("dsytrd", n)
+    _, d, e, _, info = lapack.dsytrd(A, lower=1, lwork=lwork)
     if info != 0:
         raise NumericFailureError("dsytrd failed (info=%d)" % info)
     if n > 1:  # scipy's dstebz wrapper refuses an empty off-diagonal
@@ -260,6 +264,41 @@ def extreme_eigenvalues(A) -> tuple[float, float]:
         if info != 0:
             raise NumericFailureError("dsterf failed (info=%d)" % info)
     return float(d[0]), float(d[-1])
+
+
+def _threshold(Y, tau: float, rank_cap: int | None):
+    """Soft-threshold the singular values of Y by tau, keeping at most
+    rank_cap of them; returns the result and the shrunk singular values
+    of the kept components, largest first.
+
+    The kernel is one eigendecomposition of the Gram matrix Y^T Y
+    restricted to eigenvalues above tau^2, i.e. to sigma > tau: with V the
+    right singular vectors of the kept sigma, the result is
+    (Y V) diag((sigma - tau) / sigma) V^T = U diag(sigma - tau) V^T.
+    It is a direct ``dsyevr`` call (workspace queried once per size) with
+    the arguments scipy's ``eigh(G, subset_by_value=(tau^2, inf),
+    driver="evr")`` passes, so the output is bit-for-bit that route's.
+    """
+    n = Y.shape[1]
+    if n == 0:  # dsyevr refuses order 0
+        return np.zeros(Y.shape), np.zeros(0)
+    vl = tau * tau
+    if not vl < np.inf:
+        raise InvalidParameterError("tau must be finite, got %r" % tau)
+    G = Y.T @ Y
+    if not np.isfinite(G).all():
+        raise InvalidParameterError("cannot threshold a matrix with non-finite entries")
+    lwork, liwork = _workspace("dsyevr", n)
+    w, V, k, _, info = _flapack().dsyevr(G, compute_v=1, range="V", lower=1, vl=vl,
+                                         vu=np.inf, lwork=lwork, liwork=liwork)
+    if info != 0:
+        raise NumericFailureError("dsyevr failed (info=%d)" % info)
+    lam, V = w[:k][::-1], V[:, :k][:, ::-1]
+    if rank_cap is not None:
+        lam, V = lam[:rank_cap], V[:, :rank_cap]
+    sigma = np.sqrt(lam)
+    s = np.maximum(sigma - tau, 0.0)  # sqrt may round to just below tau
+    return ((Y @ V) * (s / sigma)) @ V.T, s
 
 
 def haar_orthogonal(n: int, rng: Rng) -> np.ndarray:

@@ -15,29 +15,21 @@ the iterates converge to the planted matrix; on under- or adversarially
 sampled instances they settle on (or wander around) some other matrix of
 small nuclear norm, which is exactly what the phase experiments measure.
 
-The threshold step never forms a full SVD: only the singular triplets
-above tau survive it, so it takes one eigendecomposition of the Gram
-matrix Y^T Y restricted to eigenvalues above tau^2 (sigma > tau) and
-rebuilds the shrunk iterate from those right singular vectors.  The
-eigendecomposition is a direct LAPACK ``dsyevr`` call, its workspace
-queried once per size; the loop forms the residual in one preallocated
-buffer, so an iteration costs little more than that call.  scipy, which
-supplies that call, is reached by the first threshold step through
-``linalg._flapack``, the loader the certificate engine shares, so runs
-that neither solve nor build certificates do not load it; and it loads
-only scipy's LAPACK extension module, not the much larger
-``scipy.linalg`` package.
+The threshold step is ``linalg._threshold``, the package's one shrinkage
+kernel: it never forms a full SVD, only one ``dsyevr`` eigendecomposition
+of the Gram matrix Y^T Y restricted to eigenvalues above tau^2 (sigma >
+tau).  The loop forms the residual in one preallocated buffer, so an
+iteration costs little more than that call.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError, NumericFailureError
-from .linalg import _flapack
+from .errors import InvalidParameterError
+from .linalg import _threshold, spectral_norm
 from .sampling import SampleSet, project_omega
 
 
@@ -75,59 +67,6 @@ class SolveResult:
     halvings: int
 
 
-@functools.cache
-def _syevr_workspace(n: int):
-    """LAPACK ``dsyevr`` with its optimal (lwork, liwork) at order n, lower
-    triangle.
-
-    The routine is the very object scipy's ``get_lapack_funcs`` returns for
-    float64, taken from ``_flapack()``; the sizes are the ones scipy's
-    ``eigh`` wrapper asks for.  The workspace size picks the blocked or
-    unblocked tridiagonal reduction, so other sizes would change the bits
-    of the result.
-    """
-    lapack = _flapack()
-    work, iwork, info = lapack.dsyevr_lwork(n, lower=1)
-    if info != 0:
-        raise NumericFailureError("dsyevr workspace query failed (info=%d)" % info)
-    return lapack.dsyevr, int(work), int(iwork)
-
-
-def _threshold(Y, tau: float, rank_cap: int | None):
-    """Soft-threshold the singular values of Y by tau, keeping at most
-    rank_cap of them; returns the result and the shrunk singular values
-    of the kept components, largest first.
-
-    The kernel is one eigendecomposition of the Gram matrix Y^T Y
-    restricted to eigenvalues above tau^2, i.e. to sigma > tau: with V the
-    right singular vectors of the kept sigma, the result is
-    (Y V) diag((sigma - tau) / sigma) V^T = U diag(sigma - tau) V^T.
-    It is a direct ``dsyevr`` call (workspace queried once per size) with
-    the arguments scipy's ``eigh(G, subset_by_value=(tau^2, inf),
-    driver="evr")`` passes, so the output is bit-for-bit that route's.
-    """
-    n = Y.shape[1]
-    if n == 0:  # dsyevr refuses order 0
-        return np.zeros(Y.shape), np.zeros(0)
-    vl = tau * tau
-    if not vl < np.inf:
-        raise InvalidParameterError("tau must be finite, got %r" % tau)
-    G = Y.T @ Y
-    if not np.isfinite(G).all():
-        raise InvalidParameterError("cannot threshold a matrix with non-finite entries")
-    syevr, lwork, liwork = _syevr_workspace(n)
-    w, V, k, _, info = syevr(G, compute_v=1, range="V", lower=1, vl=vl, vu=np.inf,
-                             lwork=lwork, liwork=liwork)
-    if info != 0:
-        raise NumericFailureError("dsyevr failed (info=%d)" % info)
-    lam, V = w[:k][::-1], V[:, :k][:, ::-1]
-    if rank_cap is not None:
-        lam, V = lam[:rank_cap], V[:, :rank_cap]
-    sigma = np.sqrt(lam)
-    s = np.maximum(sigma - tau, 0.0)  # sqrt may round to just below tau
-    return ((Y @ V) * (s / sigma)) @ V.T, s
-
-
 def shrink(X, tau: float) -> np.ndarray:
     """Soft-threshold the singular values of X by tau (the proximal map of
     tau * nuclear norm)."""
@@ -163,11 +102,7 @@ def complete(S: SampleSet, observed, params: SolverParams | None = None) -> Solv
             % (observed.shape, S.n1, S.n2)
         )
 
-    if S.size == 0:
-        # unconstrained: the zero matrix is the exact minimizer
-        return SolveResult(Xhat=np.zeros((S.n1, S.n2)), iters=0, feas_resid=0.0,
-                           nuclear_value=0.0, converged=True, halvings=0)
-    if not (0.0 < S.p <= 1.0):
+    if S.size and not (0.0 < S.p <= 1.0):
         # the dual step is step / p
         raise InvalidParameterError("p must lie in (0, 1], got %r" % (S.p,))
 
@@ -176,6 +111,7 @@ def complete(S: SampleSet, observed, params: SolverParams | None = None) -> Solv
         raise InvalidParameterError("observed entries on the sample set must be finite")
     obs_scale = float(np.linalg.norm(m_obs))
     if obs_scale == 0.0:
+        # no samples, or all of them zero: the zero matrix is the exact minimizer
         return SolveResult(Xhat=np.zeros((S.n1, S.n2)), iters=0, feas_resid=0.0,
                            nuclear_value=0.0, converged=True, halvings=0)
 
@@ -187,7 +123,7 @@ def complete(S: SampleSet, observed, params: SolverParams | None = None) -> Solv
 
     # skip the flat ramp-up phase: the first shrink is a no-op until
     # ||Y||_2 exceeds tau
-    top = float(np.linalg.svd(m_obs, compute_uv=False)[0])
+    top = spectral_norm(m_obs)
     k0 = int(np.ceil(tau / (delta * top))) if top > 0 else 1
     Y = k0 * delta * m_obs
 

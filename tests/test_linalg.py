@@ -225,6 +225,20 @@ def test_extreme_eigenvalues_refuse_what_is_not_a_square_finite_matrix():
             extreme_eigenvalues(A)
 
 
+# ---------------------------------------------------------- _workspace
+
+def test_workspace_matches_scipys_query():
+    # the sizes scipy's eigh wrapper asks for, so the direct dsyevr call
+    # reduces as that route does
+    from scipy.linalg.lapack import _compute_lwork, get_lapack_funcs
+
+    query = get_lapack_funcs(("syevr_lwork",))[0]
+    for n in (1, 7, 48, 200):
+        sizes = linalg._workspace("dsyevr", n)
+        assert sizes == _compute_lwork(query, n, lower=1)
+        assert linalg._workspace("dsyevr", n) is sizes
+
+
 # ---------------------------------------------------- haar_orthogonal
 
 def test_haar_is_orthogonal_and_seeded():

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from mclab import solver
+from mclab import linalg, solver
 from mclab.errors import InvalidParameterError
 from mclab.linalg import Rng
 from mclab.models import block_model_spec, gen_lower_bound_block, gen_random_orthogonal
@@ -189,19 +189,20 @@ def test_threshold_is_bit_identical_to_eigh_route(name):
 
 def test_threshold_reuses_the_dsyevr_of_a_loaded_scipy_linalg():
     # this module imports scipy.linalg before any solve runs
-    assert solver._syevr_workspace(7)[0] is scipy.linalg.get_lapack_funcs(("syevr",))[0]
+    assert linalg._flapack().dsyevr is scipy.linalg.get_lapack_funcs(("syevr",))[0]
 
 
 _SOLVE_THEN_IMPORT_PROBE = """
 import sys
 import numpy as np
-from mclab.solver import _syevr_workspace, _threshold
+from mclab.linalg import _flapack
+from mclab.solver import _threshold
 Y = np.random.default_rng(10).standard_normal((12, 7))
 tau = 0.99 * float(np.linalg.svd(Y, compute_uv=False)[1])
 out, kept = _threshold(Y, tau, None)
 assert "scipy.linalg" not in sys.modules, "the threshold step loaded it"
 import scipy.linalg
-assert _syevr_workspace(7)[0] is scipy.linalg.get_lapack_funcs(("syevr",))[0]
+assert _flapack().dsyevr is scipy.linalg.get_lapack_funcs(("syevr",))[0]
 lam, V = scipy.linalg.eigh(Y.T @ Y, subset_by_value=(tau * tau, np.inf), driver="evr")
 lam, V = lam[::-1], V[:, ::-1]
 sigma = np.sqrt(lam)
@@ -225,7 +226,7 @@ def test_missing_lapack_extension_names_its_path(tmp_path, monkeypatch):
     monkeypatch.setitem(sys.modules, "scipy", fake)
     monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
     with pytest.raises(ImportError, match=re.escape(str(tmp_path / "linalg" / "_flapack"))):
-        solver._flapack()
+        linalg._flapack()
 
 
 def test_threshold_applies_rank_cap_and_returns_kept_values():
@@ -275,6 +276,17 @@ def test_complete_empty_and_zero_inputs_short_circuit():
     S = sample_bernoulli(6, 0.5, Rng(21, 0))
     res = complete(S, np.zeros((6, 6)))
     assert res.iters == 0 and res.nuclear_value == 0.0
+
+
+@pytest.mark.parametrize("p", [0.0, 2.0, np.nan], ids=repr)
+def test_complete_refuses_a_bad_p_on_a_nonempty_set_even_with_zero_data(p):
+    # the p check comes before the all-zero short cut; a wrapped mask skips
+    # the constructor's own check
+    S = sample_bernoulli(6, 0.5, Rng(21, 0))
+    bad = SampleSet._of_mask(S.mask, S.model, p, S.m_nominal)
+    for observed in (np.zeros((6, 6)), np.ones((6, 6))):
+        with pytest.raises(InvalidParameterError, match=r"p must lie in \(0, 1\]"):
+            complete(bad, observed)
 
 
 def test_complete_validates_inputs():
