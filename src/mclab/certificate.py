@@ -76,6 +76,14 @@ TANGENT_TRANSFER_SIGMA0 = 1.0 / 576.0
 
 _MAX_CHAIN_LEN = 8
 
+# Tangent Gram eigenvalues at or below _NULL_TOL count as zero, in decide
+# and in the builders alike.  G has norm at most 1, so the absolute error
+# of eigh and of extreme_eigenvalues is about dim * eps, under 1e-12 for
+# every dim T up to a few thousand; above the floor, G^{-1} maps a vector
+# of the range of phi^T to one at most 1 / sqrt(_NULL_TOL) = 1e4 times
+# longer.
+_NULL_TOL = 1e-8
+
 
 def _check_grid(T: TangentSpace, S: SampleSet):
     if S.n1 != T.n or S.n2 != T.n:
@@ -119,12 +127,21 @@ def _refusal(cls, message: str, a: float, lam_min: float, **kw):
     return exc
 
 
-def _gate(T: TangentSpace, S: SampleSet, cls, what: str):
+def _injective(a: float, lam_min: float) -> bool:
+    """The engine's one injectivity rule, with decide's zero _NULL_TOL: a
+    alone misses a singular G, on which it can compute as 1 - 4e-16."""
+    return a < 1.0 and lam_min > _NULL_TOL
+
+
+def _gate(T: TangentSpace, S: SampleSet, cls):
     """The builders' entry check: the tangent Gram matrix G with
-    (a, lam_min), or the refusal cls when a >= 1."""
+    (a, lam_min), or the refusal cls naming the half of the rule that fails."""
     G, a, lam_min = _spectrum_edges(T, S)
-    if a >= 1.0:
-        raise _refusal(cls, "deviation %.4f >= 1: %s" % (a, what), a, lam_min)
+    if not _injective(a, lam_min):
+        why = ("lam_min %.3e <= %g: the sampling operator is singular on T"
+               % (lam_min, _NULL_TOL) if lam_min <= _NULL_TOL
+               else "deviation %.4f >= 1" % a)
+        raise _refusal(cls, why, a, lam_min)
     return G, a, lam_min
 
 
@@ -143,19 +160,17 @@ def deviation_stat(T: TangentSpace, S: SampleSet) -> float:
 class CertificateReport:
     """Everything verify_certificate needs, plus build diagnostics.
 
-    term_norms holds the Frobenius norms of the Neumann series terms when
-    the series builder produced the report; iters counts conjugate-gradient
-    steps for the solve builder.  failure is None for a completed build.
-    A refused build (failure set) has no certificate to measure: its Y,
-    resid_t and ptperp_norm are None and supp_ok is False.
+    Y is Omega-supported by construction.  term_norms holds the Frobenius
+    norms of the Neumann series terms when the series builder produced the
+    report; iters counts conjugate-gradient steps for the solve builder.
+    failure is None for a completed build.  A refused build (failure set)
+    has no certificate to measure: its Y, resid_t and ptperp_norm are None.
     """
 
     Y: np.ndarray | None
     resid_t: float | None
-    supp_ok: bool
     ptperp_norm: float | None
     a_stat: float
-    injective: bool
     lam_min: float
     term_norms: np.ndarray | None = None
     truncated: bool = False
@@ -163,17 +178,15 @@ class CertificateReport:
     failure: str | None = None
 
 
-def _finish_report(T, S, Y, a, lam_min, term_norms=None, truncated=False,
+def _finish_report(T, Y, a, lam_min, term_norms=None, truncated=False,
                    iters=0) -> CertificateReport:
-    off = np.max(np.abs(Y - project_omega(Y, S)))
     PY = T.apply_pt(Y)
     resid = float(np.linalg.norm(PY - T.e))
     ptperp = spectral_norm(Y - PY)
-    injective = bool(a < 1.0 and lam_min >= S.p * (1.0 - a) / 2.0)
     return CertificateReport(
-        Y=Y, resid_t=resid, supp_ok=bool(off == 0.0), ptperp_norm=float(ptperp),
-        a_stat=float(a), injective=injective, lam_min=float(lam_min),
-        term_norms=term_norms, truncated=truncated, iters=iters,
+        Y=Y, resid_t=resid, ptperp_norm=float(ptperp), a_stat=float(a),
+        lam_min=float(lam_min), term_norms=term_norms, truncated=truncated,
+        iters=iters,
     )
 
 
@@ -181,11 +194,14 @@ def build_certificate_neumann(T: TangentSpace, S: SampleSet, k_max: int = 100,
                               tol: float = 1e-12) -> CertificateReport:
     """Certificate via the alternating series in powers of P_T Q_Omega P_T.
 
-    Raises DivergenceError when the deviation is >= 1.  If k_max terms do
-    not reach the tail tolerance the report is flagged truncated (the
-    series still sums; the residual field shows what was achieved).
+    Raises DivergenceError when the injectivity rule fails and
+    InvalidParameterError when k_max < 0.  If k_max terms do not reach the
+    tail tolerance the report is flagged truncated (the series still sums;
+    the residual field shows what was achieved).
     """
-    G, a, lam_min = _gate(T, S, DivergenceError, "series cannot converge")
+    if k_max < 0:
+        raise InvalidParameterError("k_max must be >= 0")
+    G, a, lam_min = _gate(T, S, DivergenceError)
     # P_T Q_Omega P_T in tangent coordinates
     step = G / S.p
     step[np.diag_indices_from(step)] -= 1.0
@@ -204,7 +220,7 @@ def build_certificate_neumann(T: TangentSpace, S: SampleSet, k_max: int = 100,
             break
     Y = project_omega(T.embed(total), S) / S.p
     return _finish_report(
-        T, S, Y, a, lam_min, term_norms=np.array(norms), truncated=truncated,
+        T, Y, a, lam_min, term_norms=np.array(norms), truncated=truncated,
         iters=len(norms) - 1,
     )
 
@@ -215,13 +231,13 @@ def build_certificate_cg(T: TangentSpace, S: SampleSet, tol: float = 1e-10,
 
     Solves P_T P_Omega (W) = E over W in T, as G w = [V; 0] in tangent
     coordinates, and returns Y = P_Omega(W).  Raises InjectivityError when
-    the operator is not positive definite and ConvergenceError (with the
-    residual, and the n x n iterate as its estimate) when max_iter is
-    exhausted.
+    the injectivity rule fails, which leaves d^T G d >= _NULL_TOL |d|^2 for
+    every search direction d, and ConvergenceError (with the residual, and
+    the n x n iterate as its estimate) when max_iter is exhausted.
     """
     if max_iter < 1:
         raise InvalidParameterError("max_iter must be >= 1")
-    G, a, lam_min = _gate(T, S, InjectivityError, "normal operator is singular on T")
+    G, a, lam_min = _gate(T, S, InjectivityError)
     R = _sign_coords(T)
     w = np.zeros_like(R)
     D = R.copy()
@@ -230,12 +246,7 @@ def build_certificate_cg(T: TangentSpace, S: SampleSet, tol: float = 1e-10,
     iters = 0
     for iters in range(1, max_iter + 1):
         GD = G @ D
-        dad = float(D @ GD)
-        if dad <= 0.0:
-            raise _refusal(InjectivityError,
-                           "normal operator not positive definite (d^T A d = %.3e)"
-                           % dad, a, lam_min)
-        step = rs / dad
+        step = rs / float(D @ GD)
         w += step * D
         R -= step * GD
         rs_new = float(R @ R)
@@ -250,7 +261,7 @@ def build_certificate_cg(T: TangentSpace, S: SampleSet, tol: float = 1e-10,
                        a, lam_min, residual=float(np.sqrt(rs_new)),
                        estimate=T.embed(w))
     Y = project_omega(T.embed(w), S)
-    return _finish_report(T, S, Y, a, lam_min, iters=iters)
+    return _finish_report(T, Y, a, lam_min, iters=iters)
 
 
 # the builders by name, for try_build_certificate and the cert_method key
@@ -261,8 +272,8 @@ def try_build_certificate(T: TangentSpace, S: SampleSet, method: str = "neumann"
                           **kw) -> CertificateReport:
     """Build a certificate, degrading gracefully on divergence.
 
-    When the strict builders refuse (deviation >= 1, singular operator, or
-    stalled solve) this returns an uncertifiable report with no certificate
+    When the strict builders refuse (the injectivity rule fails, or the
+    solve stalls) this returns an uncertifiable report with no certificate
     instead of raising, which is what the experiment drivers want.  Its
     a_stat and lam_min are the ones the refused build computed.
     """
@@ -272,40 +283,25 @@ def try_build_certificate(T: TangentSpace, S: SampleSet, method: str = "neumann"
         return CERT_METHODS[method](T, S, **kw)
     except (DivergenceError, InjectivityError, ConvergenceError) as exc:
         return CertificateReport(
-            Y=None, resid_t=None, supp_ok=False, ptperp_norm=None,
-            a_stat=exc.a_stat, injective=False, lam_min=exc.lam_min,
-            failure=str(exc),
+            Y=None, resid_t=None, ptperp_norm=None, a_stat=exc.a_stat,
+            lam_min=exc.lam_min, failure=str(exc),
         )
 
 
 def verify_certificate(T: TangentSpace, S: SampleSet,
                        rep: CertificateReport | None,
                        tol: float = 1e-6) -> bool:
-    """All four certificate conditions at once.
-
-    Support on Omega, tangent residual within tol, strict spectral-norm
-    contraction off T, and injectivity on T.  A report from a failed build
-    (or None) verifies false, as does any sample set too small to span T.
+    """Tangent residual within tol, strict spectral-norm contraction off T,
+    and the builders' injectivity rule on the report's a_stat and lam_min,
+    for a report a caller built too.  A report from a failed build (or
+    None) verifies false, as does any sample set too small to span T.
     """
-    if rep is None or rep.failure is not None:
+    if rep is None or rep.failure is not None or S.size < T.dim:
         return False
-    if S.size < T.dim:
-        return False
-    return bool(
-        rep.supp_ok
-        and rep.resid_t <= tol
-        and rep.ptperp_norm < 1.0
-        and rep.a_stat < 1.0
-        and rep.injective
-    )
+    return bool(_injective(rep.a_stat, rep.lam_min) and rep.resid_t <= tol
+                and rep.ptperp_norm < 1.0)
 
 
-# Tangent Gram eigenvalues at or below _NULL_TOL count as zero.  G has
-# norm at most 1, so eigh's absolute error is about dim * eps, under 1e-12
-# for every dim T up to a few thousand; above the floor, G^{-1} maps a
-# vector of the range of phi^T to one at most 1 / sqrt(_NULL_TOL) = 1e4
-# times longer.
-_NULL_TOL = 1e-8
 # A lower bound refutes only when it exceeds 1 by _REFUTE_MARGIN.  Each
 # bound is a closed form in inner products and one SVD of quantities at
 # most 1e4 in size (see _NULL_TOL), so its rounding error is about

@@ -31,8 +31,9 @@ class DivergenceError(NumericFailureError):
 
 
 class InjectivityError(NumericFailureError):
-    """The sampling operator restricted to the tangent space is not
-    positive definite, so the normal equations have no stable solution."""
+    """The certificate engine's injectivity rule failed for a solve on the
+    tangent space: its Gram matrix has an eigenvalue at or below the null
+    tolerance, or the deviation statistic is >= 1."""
 
 
 class ConvergenceError(NumericFailureError):

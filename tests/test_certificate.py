@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -274,7 +275,6 @@ def test_refused_build_computes_the_spectrum_once(monkeypatch):
         assert rep.failure is not None and len(calls) == 1
         # no certificate was built, so none of its measurements is made up
         assert rep.Y is None and rep.resid_t is None and rep.ptperp_norm is None
-        assert rep.supp_ok is False and rep.injective is False
         assert rep.a_stat == deviation_stat(T, S)
         assert abs(rep.lam_min - _dense_a(T, S)[1]) <= 1e-12
 
@@ -405,7 +405,6 @@ def test_deviation_and_ritz_floor_match_dense_oracle():
     rep = build_certificate_cg(T, S)
     assert abs(rep.lam_min - 0.044932137385515) <= 1e-9
     assert rep.lam_min >= S.p * (1 - rep.a_stat) / 2
-    assert rep.injective
 
 
 def test_deviation_and_floor_match_dense_operator_at_top_edge():
@@ -461,7 +460,6 @@ def test_full_sampling_reproduces_sign_pattern_both_routes():
     for rep in (build_certificate_neumann(T, S), build_certificate_cg(T, S)):
         np.testing.assert_allclose(rep.Y, T.e, atol=1e-9)
         assert rep.ptperp_norm <= 1e-8
-        assert rep.supp_ok
         assert verify_certificate(T, S, rep)
 
 
@@ -471,7 +469,6 @@ def test_routes_agree_on_moderate_instance():
     rc = build_certificate_cg(T, S)
     assert np.linalg.norm(rn.Y - rc.Y) <= 1e-6
     assert rn.resid_t <= 1e-6 and rc.resid_t <= 1e-6
-    assert rn.supp_ok and rc.supp_ok
 
 
 def test_neumann_terms_decay_geometrically_at_rate_a():
@@ -520,7 +517,6 @@ def test_try_build_degrades_to_failure_report():
     starved = sample_bernoulli(12, 0.1, Rng(10, 2))
     rep = try_build_certificate(T, starved, method="neumann")
     assert rep.failure is not None
-    assert not rep.injective
     assert not verify_certificate(T, starved, rep)
 
 
@@ -568,10 +564,51 @@ def test_verify_rejects_undersampled_even_with_good_numbers():
     rep = try_build_certificate(T, small, method="cg")
     assert not verify_certificate(T, small, rep)
     # a report that passes every other condition
-    good = CertificateReport(Y=np.zeros((12, 12)), resid_t=0.0, supp_ok=True,
-                             ptperp_norm=0.5, a_stat=0.5, injective=True, lam_min=0.5)
+    good = CertificateReport(Y=np.zeros((12, 12)), resid_t=0.0, ptperp_norm=0.5,
+                             a_stat=0.5, lam_min=0.5)
     assert verify_certificate(T, _full(12), good)
     assert not verify_certificate(T, small, good)
+
+
+def _structured_trials(model, n, r, m, sampling, trials=range(40)):
+    # Hadamard and block factors, on which G can be singular while a
+    # computes just below 1; cell 0 of seed 9 as the runners draw it
+    cfg = ExperimentConfig(kind="cert", model=model, mu0_grid=(1.0,), seed=9)
+    for t in trials:
+        gt, S = _draw(cfg, 0, t, n, r, m, sampling)
+        yield t, gt.tangent_space(), S
+
+
+def test_every_verified_certificate_is_one_decide_certifies():
+    false = []
+    for cell in (("uniform_bounded", 16, 2, 128, "uniform"),
+                 ("uniform_bounded", 16, 2, 128, "bernoulli"),
+                 ("uniform_bounded", 8, 1, 25, "bernoulli"),
+                 ("block", 16, 2, 128, "bernoulli")):
+        for t, T, S in _structured_trials(*cell):
+            for method in ("neumann", "cg"):
+                rep = try_build_certificate(T, S, method=method)
+                if verify_certificate(T, S, rep) and decide(T, S).verdict != "certified":
+                    false.append((cell, t, method, rep.lam_min))
+    assert false == []
+
+
+def test_singular_structured_instances_are_refused_by_lam_min():
+    # conjugate gradients on these G, singular with a = 1 - 3e-16, overflowed
+    cases = (("block", 16, 2, 128, (5, 23)), ("uniform_bounded", 8, 1, 32, (36,)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for model, n, r, m, trials in cases:
+            for _, T, S in _structured_trials(model, n, r, m, "uniform", trials):
+                for method in ("neumann", "cg"):
+                    rep = try_build_certificate(T, S, method=method)
+                    assert rep.a_stat < 1.0 and rep.lam_min <= _NULL_TOL
+                    assert rep.failure.startswith("lam_min")
+                    assert not verify_certificate(T, S, rep)
+    # the rule holds for a report a caller builds, too
+    singular = CertificateReport(Y=np.zeros((T.n, T.n)), resid_t=0.0, ptperp_norm=0.5,
+                                 a_stat=rep.a_stat, lam_min=rep.lam_min)
+    assert not verify_certificate(T, S, singular)
 
 
 @pytest.mark.parametrize("call", [
@@ -579,6 +616,7 @@ def test_verify_rejects_undersampled_even_with_good_numbers():
     lambda T, S: decide(T, sample_bernoulli(12, 0.5, Rng(0), n2=10)),
     lambda T, S: build_certificate_neumann(T, _empty(12)),
     lambda T, S: build_certificate_cg(T, S, max_iter=0),
+    lambda T, S: build_certificate_neumann(T, S, k_max=-1),
     lambda T, S: try_build_certificate(T, S, method="qr"),
     lambda T, S: neumann_coeffs(-1, 0.3, 0.5),
     lambda T, S: neumann_coeffs(1, 0.3, 0.0),
@@ -587,9 +625,9 @@ def test_verify_rejects_undersampled_even_with_good_numbers():
     lambda T, S: neumann_coeffs(1, 1.1, 0.5),
     lambda T, S: check_pt_expansion(T, S, -1),
     lambda T, S: check_pt_expansion(T, S, 9),
-], ids=["grid", "grid_n2", "empty", "cg_max_iter", "method", "coeffs_k", "coeffs_p0",
-        "coeffs_p_gt_1", "coeffs_rho_neg", "coeffs_rho_gt_1", "expansion_k_neg",
-        "expansion_k_gt_8"])
+], ids=["grid", "grid_n2", "empty", "cg_max_iter", "neumann_k_max", "method",
+        "coeffs_k", "coeffs_p0", "coeffs_p_gt_1", "coeffs_rho_neg", "coeffs_rho_gt_1",
+        "expansion_k_neg", "expansion_k_gt_8"])
 def test_bad_arguments_are_invalid_parameter(call):
     T, S = _instance(12, 2, 0.5, 19)
     with pytest.raises(InvalidParameterError):
